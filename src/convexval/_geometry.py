@@ -39,10 +39,6 @@ def cross3(p, q):
     )
 
 
-def det3(a, b, c):
-    return dot(a, cross3(b, c))
-
-
 def primitive(v):
     g = 0
     for c in v:
@@ -268,15 +264,3 @@ def hull_3d(pts):
     assert len(vertices) - nedges // 2 + len(facets) == 2, "hull surface not closed"
     return facets, vertices
 
-
-def volume6_3d(pts, facets):
-    """Six times the volume enclosed by outward-oriented facet cycles."""
-    first = next(iter(facets.values()))
-    o = pts[first[0]]
-    total = 0
-    for cycle in facets.values():
-        q0 = sub(pts[cycle[0]], o)
-        for i in range(1, len(cycle) - 1):
-            total += det3(q0, sub(pts[cycle[i]], o), sub(pts[cycle[i + 1]], o))
-    assert total >= 0
-    return total

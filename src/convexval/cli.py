@@ -68,6 +68,18 @@ def _parse_rat(text: str) -> Fraction:
         raise ParseError(f"bad rational {text!r}: {exc}") from exc
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type for counts and degrees: a plain integer >= 0."""
+    error = argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    try:
+        value = int(text)
+    except ValueError:
+        raise error from None
+    if value < 0:
+        raise error
+    return value
+
+
 def _parse_basis(text: str) -> pk.SimplexBasis:
     vectors = []
     for chunk in text.split(";"):
@@ -253,7 +265,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
 
 def _cmd_ehrhart(args) -> tuple[int, dict]:
     P, notices = parse_polytope_with_notices(_one_input(args))
-    top = int(args.lam) if args.lam is not None else 6
+    top = args.lam if args.lam is not None else 6
     counts = {
         str(lam): pk.lattice_count(pk.dilate(P, lam)) for lam in range(top + 1)
     }
@@ -341,12 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, 1)
     p.add_argument("--valuation", default="volume")
     p.add_argument("--probe", default=None, help="named probe added before dilating")
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--degree", type=_nonnegative_int, default=None)
 
     p = sub.add_parser("components", help="graded components of a polytope class")
     common(p, 1)
     p.add_argument("--panel", default=None, help="comma-separated valuation tokens")
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--degree", type=_nonnegative_int, default=None)
 
     p = sub.add_parser("decompose", help="staircase simplex decomposition report")
     common(p)
@@ -360,8 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ehrhart", help="lattice counts of integer dilates")
     common(p, 1)
-    p.add_argument("--lambda", dest="lam", default=None, help="largest dilation")
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--lambda", dest="lam", type=_nonnegative_int, default=None,
+                   help="largest dilation")
+    p.add_argument("--degree", type=_nonnegative_int, default=None)
 
     p = sub.add_parser("mixed", help="planar mixed volume and its cross-check")
     common(p, 2)

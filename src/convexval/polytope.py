@@ -36,6 +36,11 @@ Point = tuple
 
 LATTICE_GUARD = 500_000
 
+# Entries kept by each cache of derived data (here and in `valuations`);
+# the oldest or least recently used entry is dropped beyond it, so memory
+# stays flat over a long run.
+CACHE_SIZE = 1024
+
 
 def point(coords) -> Point:
     """Build an exact point from ints, strings, or Fractions."""
@@ -146,6 +151,8 @@ _FACET_CACHE: dict = {}
 def _seed_facets(P, scale, facets, originals):
     if P in _FACET_CACHE:
         return
+    if len(_FACET_CACHE) >= CACHE_SIZE:
+        del _FACET_CACHE[next(iter(_FACET_CACHE))]
     planes = tuple((n, Fraction(c, scale)) for (n, c) in facets)
     cycles = tuple(tuple(originals[i] for i in cyc) for cyc in facets.values())
     _FACET_CACHE[P] = (planes, cycles)
@@ -158,13 +165,11 @@ def _facets3(P):
         return cached
     ints, scale = geom.integerize(P.vertices)
     facets, _ = geom.hull_3d(ints)
-    planes = tuple((n, Fraction(c, scale)) for (n, c) in facets)
-    cycles = tuple(tuple(P.vertices[i] for i in cyc) for cyc in facets.values())
-    _FACET_CACHE[P] = (planes, cycles)
-    return planes, cycles
+    _seed_facets(P, scale, facets, P.vertices)
+    return _FACET_CACHE[P]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _halfspaces(P):
     """Inequalities n.x <= rhs (integer normal, Fraction rhs), full-dim P."""
     n = P.ambient_dim
@@ -188,7 +193,7 @@ def _halfspaces(P):
     raise UnsupportedDimension(f"halfspaces in dimension {n}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _affine_frame(P):
     """(origin, basis, reduced polytope) for a lower-dimensional P."""
     origin = P.vertices[0]
@@ -203,7 +208,7 @@ def _affine_frame(P):
     return origin, basis, reduced
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def dim(P: Polytope) -> int:
     """Affine dimension of the polytope (0 for a point)."""
     origin = P.vertices[0]
@@ -595,7 +600,12 @@ def _det(rows):
 
 
 def lattice_count(P: Polytope, guard: int = LATTICE_GUARD) -> int:
-    """Number of integer points in P, by guarded bounding-box enumeration."""
+    """Number of integer points in P, by guarded bounding-box enumeration.
+
+    The guard bounds the integer points of the bounding box. Full-dimensional
+    bodies are counted one line of the last axis at a time; lower-dimensional
+    ones test every bounding-box point for membership.
+    """
     n = P.ambient_dim
     if n > 3:
         raise UnsupportedDimension("lattice counting beyond dimension 3")
@@ -608,18 +618,27 @@ def lattice_count(P: Polytope, guard: int = LATTICE_GUARD) -> int:
         raise GuardExceeded(f"bounding box holds {total} > {guard} candidates")
     if total == 0:
         return 0
-    full = dim(P) == n
-    planes = _halfspaces(P) if full and len(P.vertices) > 1 else None
+    axes = [range(l, h + 1) for l, h in zip(lo, hi)]
+    if n == 0 or dim(P) < n:
+        return sum(1 for cand in itertools.product(*axes) if contains(P, cand))
+    # The normals are integer, so at an integer point n.x <= rhs holds
+    # exactly when n.x <= floor(rhs); each line along the last axis then
+    # meets P in one integer range, found by floor division.
+    rows = [(normal[:-1], normal[-1], floor(rhs)) for normal, rhs in _halfspaces(P)]
     count = 0
-    for cand in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        if planes is not None:
-            if all(
-                sum(c * t for c, t in zip(normal, cand)) <= rhs
-                for normal, rhs in planes
-            ):
-                count += 1
-        elif contains(P, cand):
-            count += 1
+    for prefix in itertools.product(*axes[:-1]):
+        zlo, zhi = lo[-1], hi[-1]
+        for head, c, rhs in rows:
+            s = rhs - sum(a * t for a, t in zip(head, prefix))
+            if c > 0:
+                zhi = min(zhi, s // c)
+            elif c < 0:
+                zlo = max(zlo, -(s // -c))
+            elif s < 0:
+                break
+        else:
+            if zhi >= zlo:
+                count += zhi - zlo + 1
     return count
 
 

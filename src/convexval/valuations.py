@@ -103,7 +103,7 @@ def default_panel(ambient_dim: int) -> tuple:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=pk.CACHE_SIZE)
 def _evaluate(val: ValuationDescriptor, P: pk.Polytope) -> Fraction:
     if val.kind == VOLUME:
         return pk.volume(P)

@@ -169,3 +169,24 @@ def test_exit_code_parse_error(tmp_path, capsys):
 def test_exit_code_missing_file(capsys):
     assert run(["expand", "--input", "/no/such/file.json"]) == 2
     capsys.readouterr()
+
+
+def _assert_usage_error(argv, capsys):
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert any("error:" in line for line in err.splitlines())
+
+
+def test_exit_code_ehrhart_fractional_lambda(square_file, capsys):
+    _assert_usage_error(["ehrhart", "--input", square_file, "--lambda", "1/2"], capsys)
+
+
+def test_exit_code_ehrhart_negative_lambda(square_file, capsys):
+    _assert_usage_error(["ehrhart", "--input", square_file, "--lambda", "-3"], capsys)
+
+
+@pytest.mark.parametrize("command", ["expand", "components", "ehrhart"])
+def test_exit_code_negative_degree(command, square_file, capsys):
+    _assert_usage_error([command, "--input", square_file, "--degree", "-1"], capsys)

@@ -2,12 +2,14 @@
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from convexval import polytope as pk
+from convexval import valuations as vv
 from convexval.errors import (
     DependentBasis,
     DimensionMismatch,
@@ -295,6 +297,7 @@ def test_lattice_count_examples():
     assert pk.lattice_count(pk.unit_cube(2)) == 4
     assert pk.lattice_count(pk.dilate(pk.unit_cube(2), 3)) == 16
     assert pk.lattice_count(pk.hull([(0,), ("5/2",)])) == 3
+    assert pk.lattice_count(pk.origin_polytope(0)) == 1
 
 
 def test_lattice_count_triangle_oracle():
@@ -333,6 +336,87 @@ def test_lattice_count_matches_picks_theorem():
         assert pk.lattice_count(P) == pk.volume(P) + F(boundary, 2) + 1
         checked += 1
     assert checked >= 10
+
+
+def _oracle_body(rng, n):
+    """A seeded body for the lattice-count oracle, dilated by 1, 2, 3 or 5/2.
+
+    About a fifth are collinear or coplanar clouds and a tenth are boxes,
+    whose side facets have last normal coordinate 0; coordinates are
+    negative as often as positive, with denominators 1, 2, 3 and 7.
+    """
+    den = rng.choice((1, 2, 3, 7))
+    span = 2 if n < 3 else 1
+
+    def coord():
+        return F(rng.randint(-span * den, span * den), den)
+
+    kind = rng.random()
+    if kind < 0.2 and n > 1:
+        base = tuple(coord() for _ in range(n))
+        dirs = [tuple(rng.randint(-1, 1) for _ in range(n))
+                for _ in range(rng.randint(1, n - 1))]
+        pts = []
+        for _ in range(rng.randint(2, 6)):
+            ts = [F(rng.randint(0, den), den) for _ in dirs]
+            pts.append(tuple(b + sum(t * d[i] for t, d in zip(ts, dirs))
+                             for i, b in enumerate(base)))
+    elif kind < 0.3:
+        corner = [coord() for _ in range(n)]
+        pts = itertools.product(*((a, a + F(rng.randint(1, 3 * den), den)) for a in corner))
+    else:
+        pts = [tuple(coord() for _ in range(n)) for _ in range(rng.randint(n + 1, n + 4))]
+    return pk.dilate(pk.hull(pts), rng.choice((1, 2, 3, F(5, 2))))
+
+
+def brute_lattice_count(P):
+    axes = []
+    for i in range(P.ambient_dim):
+        coords = [v[i] for v in P.vertices]
+        axes.append(range(math.ceil(min(coords)), math.floor(max(coords)) + 1))
+    return sum(1 for x in itertools.product(*axes) if pk.contains(P, x))
+
+
+def test_lattice_count_matches_brute_force_scan():
+    rng = random.Random(2207)
+    lower_dim = vertical = 0
+    for k in range(1500):
+        n = 1 + k % 3
+        P = _oracle_body(rng, n)
+        assert pk.lattice_count(P) == brute_lattice_count(P), P
+        if pk.dim(P) < n:
+            lower_dim += 1
+        elif n > 1:
+            vertical += any(normal[-1] == 0 for normal, _ in pk._halfspaces(P))
+    assert lower_dim >= 150 and vertical >= 100
+
+
+def test_lattice_count_box_with_vertical_facets():
+    box = pk.hull(itertools.product(("-3/2", "7/3"), ("-1", "2"), ("-1/7", "5/2")))
+    assert any(normal[-1] == 0 for normal, _ in pk._halfspaces(box))
+    assert pk.lattice_count(box) == 4 * 4 * 3 == brute_lattice_count(box)
+
+
+def test_caches_stay_within_their_bound():
+    bound = pk.CACHE_SIZE
+    vol = vv.volume_valuation()
+    tet = pk.standard_simplex(3)
+    seg = pk.hull([(0, 0), (2, 2)])
+    first = pk.translate(tet, (-1, 0, 0))
+    expected = (vv.evaluate(vol, first), pk.dim(first), pk.lattice_count(first))
+    for k in range(bound + 1):
+        body = pk.translate(tet, (k, 0, 0))
+        vv.evaluate(vol, body)
+        pk.lattice_count(body)
+        pk.lattice_count(pk.translate(seg, (k, 0)))
+    for cache in (pk.dim, pk._halfspaces, pk._affine_frame, vv._evaluate):
+        assert cache.cache_info().maxsize == bound
+        assert cache.cache_info().currsize <= bound
+    assert len(pk._FACET_CACHE) <= bound
+    assert first not in pk._FACET_CACHE
+    misses = pk.dim.cache_info().misses
+    assert (vv.evaluate(vol, first), pk.dim(first), pk.lattice_count(first)) == expected
+    assert pk.dim.cache_info().misses > misses
 
 
 # ---------------------------------------------------------------------------
