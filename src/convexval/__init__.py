@@ -55,6 +55,7 @@ from .errors import (
     DivisionUnsupported,
     EmptyInput,
     GuardExceeded,
+    InvariantViolation,
     MixedDimensions,
     NegativeFactor,
     NonInvariantOnClasses,

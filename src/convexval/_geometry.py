@@ -10,6 +10,8 @@ boxes, grid-like vertex sets) exact and cheap at desk scale.
 from fractions import Fraction
 from math import gcd
 
+from .errors import InvariantViolation
+
 
 def sub(p, q):
     return tuple(a - b for a, b in zip(p, q))
@@ -93,7 +95,8 @@ def area2_2d(pts, cycle):
     o = pts[cycle[0]]
     for i in range(1, len(cycle) - 1):
         total += cross2(sub(pts[cycle[i]], o), sub(pts[cycle[i + 1]], o))
-    assert total >= 0
+    if total < 0:
+        raise InvariantViolation("polygon cycle is not counter-clockwise")
     return total
 
 
@@ -115,7 +118,8 @@ def _plane_through(pts, u, w, q):
     if max(vals) > c:
         n, c = neg(n), -c
         vals = [-v for v in vals]
-    assert max(vals) <= c, "plane is not supporting"
+    if max(vals) > c:
+        raise InvariantViolation("plane is not supporting")
     return n, c
 
 
@@ -141,7 +145,8 @@ def _pivot(pts, u, t, n):
         alpha = tx * dx + ty * dy + tz * dz
         if best is None or alpha * bbeta - beta * balpha > 0:
             best, balpha, bbeta = j, alpha, beta
-    assert best is not None, "pivot found no candidate (rank < 3?)"
+    if best is None:
+        raise InvariantViolation("pivot found no candidate (rank < 3?)")
     return best
 
 
@@ -208,7 +213,8 @@ def _first_plane(pts):
         m = (-best[1], best[0])
         if any(dot(m, xi) > 0 for xi in offline):
             m = (best[1], -best[0])
-        assert all(dot(m, xi) <= 0 for xi in offline)
+        if any(dot(m, xi) > 0 for xi in offline):
+            raise InvariantViolation("no supporting plane through the first edge")
         n_start = tuple(m[0] * b1[k] + m[1] * b2[k] for k in range(3))
         c_start = dot(n_start, p0)
         t_start = cross3(a, n_start)
@@ -260,7 +266,7 @@ def hull_3d(pts):
                 queue.append(nb)
     vertices = sorted({i for cyc in facets.values() for i in cyc})
     nedges = sum(len(cyc) for cyc in facets.values())
-    assert nedges % 2 == 0
-    assert len(vertices) - nedges // 2 + len(facets) == 2, "hull surface not closed"
+    if nedges % 2 != 0 or len(vertices) - nedges // 2 + len(facets) != 2:
+        raise InvariantViolation("hull surface not closed")
     return facets, vertices
 

@@ -1,54 +1,65 @@
-"""Small exact linear algebra over Fraction, used by the polytope kernel."""
+"""Small exact linear algebra over Fraction, used by the polytope kernel.
+
+Every function reads the result of one greedy Gaussian elimination,
+`_eliminate`.
+"""
 
 from fractions import Fraction
+from math import prod
+
+
+def _reduce(row, found):
+    """Subtract multiples of the eliminated rows so each pivot column is 0."""
+    for _, col, _, erow in found:
+        factor = row[col]
+        if factor != 0:
+            row = [a - factor * b for a, b in zip(row, erow)]
+    return row
+
+
+def _eliminate(rows, ncols):
+    """Greedy elimination over Fraction, rows taken in input order.
+
+    Returns one (row index, pivot column, pivot value, reduced row scaled to
+    pivot 1) entry per row that is independent of the rows before it; the
+    pivot is the first nonzero entry among the first ``ncols`` columns. The
+    scan stops once each of those columns holds a pivot, since no later row
+    can then be independent.
+    """
+    found = []
+    for i, row in enumerate(rows):
+        work = _reduce(list(row), found)
+        col = next((j for j in range(ncols) if work[j] != 0), None)
+        if col is None:
+            continue
+        pivot = work[col]
+        inv = 1 / pivot
+        found.append((i, col, pivot, [a * inv for a in work]))
+        if len(found) == ncols:
+            break
+    return found
+
+
+def independent_rows(rows):
+    """Indices of a maximal linearly independent subset, greedy in order."""
+    return [i for i, _, _, _ in _eliminate(rows, len(rows[0]) if rows else 0)]
 
 
 def rank(rows):
-    """Rank of a list of equal-length Fraction tuples (Gaussian elimination)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pr = m[r]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col] / pr[col]
-                m[i] = [a - f * b for a, b in zip(m[i], pr)]
-        r += 1
-        if r == len(m):
-            break
-    return r
+    """Rank of a list of equal-length Fraction tuples."""
+    return len(independent_rows(rows))
 
 
-def independent_rows(rows, stop_at=None):
-    """Indices of a maximal linearly independent subset, greedy in order.
-
-    Keeps an eliminated copy of the chosen rows so each candidate is reduced
-    once. ``stop_at`` truncates the search once that many rows are found.
-    """
-    chosen = []
-    eliminated = []  # rows in echelon form, paired with their pivot column
-    for i, row in enumerate(rows):
-        work = list(row)
-        for erow, pivot_col in eliminated:
-            factor = work[pivot_col]
-            if factor != 0:
-                work = [a - factor * b for a, b in zip(work, erow)]
-        pivot = next((j for j, a in enumerate(work) if a != 0), None)
-        if pivot is None:
-            continue
-        inv = 1 / work[pivot]
-        eliminated.append(([a * inv for a in work], pivot))
-        chosen.append(i)
-        if stop_at is not None and len(chosen) == stop_at:
-            break
-    return chosen
+def det(rows):
+    """Determinant of a square list of Fraction tuples."""
+    found = _eliminate(rows, len(rows))
+    if len(found) < len(rows):
+        return Fraction(0)
+    # the reduced rows, with columns put in pivot order, form a triangular
+    # matrix with the pivot values on the diagonal
+    cols = [col for _, col, _, _ in found]
+    inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
+    return (-1) ** inversions * prod((pivot for _, _, pivot, _ in found), start=Fraction(1))
 
 
 def solve(columns, target):
@@ -57,37 +68,18 @@ def solve(columns, target):
     Returns the coefficient tuple, or None when the system is inconsistent.
     Columns must be linearly independent (unique solution on the span).
     """
-    ncols = len(columns)
-    nrows = len(target)
-    aug = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(nrows)]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pr = aug[r]
-        inv = 1 / pr[col]
-        aug[r] = [a * inv for a in pr]
-        pr = aug[r]
-        for i in range(nrows):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], pr)]
-        pivots.append(col)
-        r += 1
-    # inconsistency: a zero row with nonzero rhs
-    for i in range(r, nrows):
-        if any(aug[i][j] != 0 for j in range(ncols)):
-            # should not happen once pivoting is done; defensive
-            continue
-        if aug[i][ncols] != 0:
-            return None
-    if len(pivots) < ncols:
-        # dependent columns; caller promised independence
+    k = len(columns)
+    n = len(target)
+    # tag column j with the unit vector e_j; a reduced row's tag part records
+    # which combination of the columns it is
+    tagged = [
+        tuple(col) + tuple(Fraction(int(i == j)) for i in range(k))
+        for j, col in enumerate(columns)
+    ]
+    found = _eliminate(tagged, n)
+    rest = _reduce(list(target) + [Fraction(0)] * k, found)
+    if any(a != 0 for a in rest[:n]):
+        return None
+    if len(found) < k:
         raise ValueError("solve() requires independent columns")
-    x = [Fraction(0)] * ncols
-    for row, col in enumerate(pivots):
-        x[col] = aug[row][ncols]
-    return tuple(x)
+    return tuple(-a for a in rest[n:])

@@ -23,7 +23,7 @@ from typing import Optional
 
 from . import polytope as pk
 from .diffcalc import QQ_NONNEG, FunctionHandle, GroupOps, extract_components
-from .errors import ParseError
+from .errors import InvariantViolation, ParseError
 from .rationals import rat, rat_str
 from .valuations import evaluate_sum
 
@@ -192,7 +192,8 @@ class PanelSignature:
     def __add__(self, other):
         if not isinstance(other, PanelSignature):
             return NotImplemented
-        assert tuple(k for k, _ in self.entries) == tuple(k for k, _ in other.entries)
+        if tuple(k for k, _ in self.entries) != tuple(k for k, _ in other.entries):
+            raise InvariantViolation("panel signatures over different panels")
         return PanelSignature(
             tuple((k, a + b) for (k, a), (_, b) in zip(self.entries, other.entries))
         )
@@ -300,16 +301,12 @@ def simplex_identity_as_classes(basis: pk.SimplexBasis, a, b, panel) -> Report:
     the Minkowski-sum pieces, once each panel valuation is applied.
     """
     av, bv = rat(a), rat(b)
-    d = basis.count
     lhs = class_of(pk.dilate(pk.simplex_from_basis(basis), av + bv))
     rhs = FormalSum.zero()
-    for i in range(d + 1):
-        head = pk.dilate(pk._partial_simplex(basis, 0, i), av)
-        tail = pk.dilate(pk._partial_simplex(basis, i, d), bv)
-        rhs = rhs + class_of(pk.minkowski_sum(head, tail))
-        if i >= 1:
-            head_prev = pk.dilate(pk._partial_simplex(basis, 0, i - 1), av)
-            rhs = rhs - class_of(pk.minkowski_sum(head_prev, tail))
+    for _, cell, seam in pk.staircase_pieces(basis, av, bv):
+        rhs = rhs + class_of(cell)
+        if seam is not None:
+            rhs = rhs - class_of(seam)
     rows = []
     for val in panel:
         left = evaluate_sum(val, lhs)
@@ -339,7 +336,7 @@ def sum_from_obj(obj) -> FormalSum:
         if not isinstance(item, dict) or "coef" not in item or "polytope" not in item:
             raise ParseError(f"term {i} must carry 'coef' and 'polytope'")
         coef = item["coef"]
-        if not isinstance(coef, int):
+        if not isinstance(coef, int) or isinstance(coef, bool):
             raise ParseError(f"term {i}: coefficient must be an integer")
         poly = class_rep(pk.polytope_from_obj(item["polytope"]))
         acc[poly] = acc.get(poly, 0) + coef

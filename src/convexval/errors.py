@@ -59,3 +59,10 @@ class NonInvariantOnClasses(ConvexValError):
 
 class ParseError(ConvexValError):
     """Malformed polytope or formal-sum input file."""
+
+
+class InvariantViolation(ConvexValError):
+    """An internal invariant of an exact computation does not hold.
+
+    Raised in place of `assert`, so the check also runs under `python -O`.
+    """

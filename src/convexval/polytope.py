@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, factorial
+from math import ceil, factorial, floor, prod
 
 from . import _geometry as geom
 from . import _linalg
@@ -24,6 +24,7 @@ from .errors import (
     DimensionMismatch,
     EmptyInput,
     GuardExceeded,
+    InvariantViolation,
     MixedDimensions,
     NegativeFactor,
     NonpositiveScale,
@@ -100,9 +101,8 @@ def hull(points) -> Polytope:
         # affinely independent: a simplex, every point is extreme
         return Polytope(n, tuple(uniq))
     if r > 3:
-        corners = _bounding_corners(uniq)
-        if corners is not None and corners <= set(uniq):
-            # an axis-aligned box: its corners are the extreme points
+        corners = _box_corners(uniq)
+        if corners is not None:
             return Polytope(n, tuple(sorted(corners)))
         raise UnsupportedDimension(
             f"general hull in affine dimension {r} (> 3) is not supported"
@@ -129,8 +129,12 @@ def hull(points) -> Polytope:
     return result
 
 
-def _bounding_corners(pts):
-    """Corners of the bounding box, or None when there would be too many."""
+def _box_corners(pts):
+    """Corners of the points' bounding box if all are among the points, else None.
+
+    The points then span an axis-aligned box, whose extreme points are those
+    corners. None also beyond 4096 corners.
+    """
     n = len(pts[0])
     if 2 ** n > 4096:
         return None
@@ -139,7 +143,8 @@ def _bounding_corners(pts):
         lo = min(p[i] for p in pts)
         hi = max(p[i] for p in pts)
         axes.append((lo,) if lo == hi else (lo, hi))
-    return {tuple(c) for c in itertools.product(*axes)}
+    corners = set(itertools.product(*axes))
+    return corners if corners <= set(pts) else None
 
 
 # ---------------------------------------------------------------------------
@@ -280,22 +285,47 @@ def simplex_basis(vectors) -> SimplexBasis:
     return SimplexBasis(tuple(point(v) for v in vectors))
 
 
-def simplex_from_basis(basis: SimplexBasis) -> Polytope:
-    """Simplex with vertices at the partial sums 0, v1, v1+v2, ..."""
-    n = basis.ambient_dim
-    acc = (Fraction(0),) * n
-    verts = [acc]
+def _partial_sums(basis: SimplexBasis) -> list:
+    """0, v1, v1+v2, ..., v1+...+vd."""
+    acc = (Fraction(0),) * basis.ambient_dim
+    sums = [acc]
     for v in basis.vectors:
         acc = tuple(a + b for a, b in zip(acc, v))
-        verts.append(acc)
-    return _trusted(n, verts)
+        sums.append(acc)
+    return sums
 
 
-def _partial_simplex(basis: SimplexBasis, lo: int, hi: int) -> Polytope:
-    """Simplex of the basis slice vectors[lo:hi]; a point when empty."""
-    if lo >= hi:
-        return origin_polytope(basis.ambient_dim)
-    return simplex_from_basis(SimplexBasis(basis.vectors[lo:hi]))
+def simplex_from_basis(basis: SimplexBasis) -> Polytope:
+    """Simplex with vertices at the partial sums 0, v1, v1+v2, ..."""
+    return _trusted(basis.ambient_dim, _partial_sums(basis))
+
+
+def staircase_pieces(basis: SimplexBasis, a: Fraction, b: Fraction):
+    """The pieces of the (a+b)-dilate of the staircase simplex, i = 0..d.
+
+    With S(...) the staircase simplex over the listed basis vectors, yields
+    (shift, cell, seam) where shift = b*(v1+...+vi), cell = a*S(v1..vi) +
+    b*S(vi+1..vd) and seam = a*S(v1..vi-1) + b*S(vi+1..vd), or None for
+    i = 0. Cell and seam are Minkowski sums left unshifted: translation
+    classes and translation-invariant valuations do not need the shift.
+    A negative factor raises NegativeFactor.
+    """
+    n = basis.ambient_dim
+    sums = _partial_sums(basis)
+
+    def partial(lo, hi, factor):
+        base = sums[lo]
+        verts = (tuple(p - q for p, q in zip(sums[j], base)) for j in range(lo, hi + 1))
+        return dilate(_trusted(n, verts), factor)
+
+    d = basis.count
+    head_prev = None
+    for i in range(d + 1):
+        head = partial(0, i, a)
+        tail = partial(i, d, b)
+        seam = None if head_prev is None else minkowski_sum(head_prev, tail)
+        yield tuple(b * c for c in sums[i]), minkowski_sum(head, tail), seam
+        head_prev = head
 
 
 @dataclass(frozen=True)
@@ -318,23 +348,17 @@ def decomposition_pieces(basis: SimplexBasis, a, b) -> DecompositionPieces:
     if av <= 0 or bv <= 0:
         raise NonpositiveScale("decomposition needs a > 0 and b > 0")
     d = basis.count
-    n = basis.ambient_dim
-    shift = (Fraction(0),) * n
     cells = []
     seams = []
-    for i in range(d + 1):
-        head = dilate(_partial_simplex(basis, 0, i), av)
-        tail = dilate(_partial_simplex(basis, i, d), bv)
-        if i >= 1:
-            shift = tuple(s + bv * c for s, c in zip(shift, basis.vectors[i - 1]))
-            head_prev = dilate(_partial_simplex(basis, 0, i - 1), av)
-            seam = translate(minkowski_sum(head_prev, tail), shift)
+    for shift, cell, seam in staircase_pieces(basis, av, bv):
+        if seam is not None:
+            seam = translate(seam, shift)
             if dim(seam) > d - 1:
-                raise ValueError("seam piece has unexpected dimension")
+                raise InvariantViolation("seam piece has unexpected dimension")
             seams.append(seam)
-        cell = translate(minkowski_sum(head, tail), shift)
+        cell = translate(cell, shift)
         if dim(cell) != d:
-            raise ValueError("cell piece has unexpected dimension")
+            raise InvariantViolation("cell piece has unexpected dimension")
         cells.append(cell)
     return DecompositionPieces(av, bv, tuple(cells), tuple(seams))
 
@@ -489,9 +513,10 @@ def contains(P: Polytope, x) -> bool:
         if n > 3:
             if len(P.vertices) == n + 1:
                 return _simplex_contains(P, xv)
-            box = _box_extents(P)
-            if box is not None:
-                return all(lo <= c <= hi for c, (lo, hi) in zip(xv, box))
+            if _box_corners(P.vertices) is not None:
+                # the least and greatest corners of a box hold its extents
+                lo, hi = P.vertices[0], P.vertices[-1]
+                return all(l <= c <= h for l, c, h in zip(lo, xv, hi))
             raise UnsupportedDimension(f"membership in dimension {n}")
         return all(
             sum(c * t for c, t in zip(normal, xv)) <= rhs
@@ -514,19 +539,6 @@ def _simplex_contains(P, xv):
     return all(c >= 0 for c in sol) and sum(sol) <= 1
 
 
-def _box_extents(P):
-    """(lo, hi) per axis when P is an axis-aligned box, else None."""
-    n = P.ambient_dim
-    lo = [min(v[i] for v in P.vertices) for i in range(n)]
-    hi = [max(v[i] for v in P.vertices) for i in range(n)]
-    if any(l == h for l, h in zip(lo, hi)):
-        return None
-    corners = {tuple(c) for c in itertools.product(*zip(lo, hi))}
-    if set(P.vertices) == corners:
-        return list(zip(lo, hi))
-    return None
-
-
 def volume(P: Polytope) -> Fraction:
     """Exact ambient-dimensional volume; 0 for lower-dimensional bodies."""
     n = P.ambient_dim
@@ -537,13 +549,10 @@ def volume(P: Polytope) -> Fraction:
     if len(P.vertices) == n + 1:
         base = P.vertices[0]
         rows = [tuple(a - b for a, b in zip(v, base)) for v in P.vertices[1:]]
-        return abs(_det(rows)) / factorial(n)
-    box = _box_extents(P)
-    if box is not None:
-        prod = Fraction(1)
-        for lo, hi in box:
-            prod *= hi - lo
-        return prod
+        return abs(_linalg.det(rows)) / factorial(n)
+    if _box_corners(P.vertices) is not None:
+        lo, hi = P.vertices[0], P.vertices[-1]
+        return prod((h - l for l, h in zip(lo, hi)), start=Fraction(1))
     if n == 2:
         ints, scale = geom.integerize(P.vertices)
         cycle = geom.hull_2d(ints)
@@ -574,29 +583,10 @@ def volume(P: Polytope) -> Fraction:
                     - ay * (bx * cz - bz * cx)
                     + az * (bx * cy - by * cx)
                 )
-        assert total >= 0
+        if total < 0:
+            raise InvariantViolation("negative volume from facet cycles")
         return Fraction(total, 6) / scale ** 3
     raise UnsupportedDimension(f"volume of a general body in dimension {n}")
-
-
-def _det(rows):
-    m = [list(r) for r in rows]
-    size = len(m)
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((i for i in range(col, size) if m[i][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, size):
-            if m[i][col] != 0:
-                f = m[i][col] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return det
 
 
 def lattice_count(P: Polytope, guard: int = LATTICE_GUARD) -> int:
@@ -686,7 +676,7 @@ def polytope_from_obj(obj) -> Polytope:
         raw = obj["vertices"]
     except KeyError as exc:
         raise ParseError(f"polytope object missing field {exc}") from exc
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError(f"field 'dim' must be a positive integer, got {n!r}")
     if not isinstance(raw, list) or not raw:
         raise ParseError("field 'vertices' must be a non-empty list")

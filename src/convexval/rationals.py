@@ -15,7 +15,7 @@ def rat(value: int | str | Fraction) -> Fraction:
     """Coerce an int, Fraction, or "p/q" / "p" string to an exact Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value.strip())

@@ -250,3 +250,5 @@ def test_formal_sum_parse_errors():
         bg.sum_from_obj([{"coef": "x", "polytope": {"dim": 1, "vertices": [["0"]]}}])
     with pytest.raises(ParseError):
         bg.sum_from_obj([{"polytope": {"dim": 1, "vertices": [["0"]]}}])
+    with pytest.raises(ParseError):
+        bg.sum_from_obj([{"coef": True, "polytope": {"dim": 1, "vertices": [["0"]]}}])

@@ -190,3 +190,188 @@ def test_exit_code_ehrhart_negative_lambda(square_file, capsys):
 @pytest.mark.parametrize("command", ["expand", "components", "ehrhart"])
 def test_exit_code_negative_degree(command, square_file, capsys):
     _assert_usage_error([command, "--input", square_file, "--degree", "-1"], capsys)
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("expand", {"dim": True, "vertices": [["0"], ["2"]]}),
+        ("expand", {"dim": 1, "vertices": [[True], [2]]}),
+        ("compare", [{"coef": True, "polytope": {"dim": 1, "vertices": [["0"]]}}]),
+    ],
+)
+def test_exit_code_json_boolean_as_number(command, payload, tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(payload))
+    inputs = ["--input", str(path)] * (2 if command == "compare" else 1)
+    _assert_usage_error([command, *inputs], capsys)
+
+
+# ---------------------------------------------------------------------------
+# golden output of the README examples
+
+
+GOLDEN_FILES = {
+    "square.json": {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]},
+    "cube.json": {"dim": 3, "vertices": [[x, y, z] for x in "01" for y in "01" for z in "01"]},
+    "p.json": {"dim": 2, "vertices": [["0", "0"], ["2", "0"], ["0", "1"], ["1/2", "1/4"]]},
+    "q.json": {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]},
+    "s1.json": [
+        {"coef": 2, "polytope": {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}},
+        {"coef": -1, "polytope": {"dim": 2, "vertices": [["0", "0"]]}},
+    ],
+    "s2.json": [
+        {"coef": 1, "polytope": {"dim": 2, "vertices": [["3", "3"], ["4", "3"], ["3", "4"], ["4", "4"]]}},
+        {"coef": 1, "polytope": {"dim": 2, "vertices": [["5", "5"]]}},
+    ],
+}
+
+# (argv, exit code, stdout) for each README example except `verify --seed 0`
+# (about 20 s; its suites run in test_acceptance), plus a 3D `decompose`
+# with fractional a and b.
+GOLDEN = [
+    (
+        ["expand", "--input", "square.json", "--valuation", "volume"],
+        0,
+        """\
+command = expand
+input = square.json
+valuation = volume
+degree = 2
+coefficients.f_0 = 0
+coefficients.f_1 = 0
+coefficients.f_2 = 1
+summary = f_0=0 f_1=0 f_2=1
+""",
+    ),
+    (
+        ["components", "--input", "square.json", "--panel", "volume,euler"],
+        0,
+        """\
+command = components
+input = square.json
+dimension = 2
+components.e_0.sum = [(0,0)]
+components.e_0.signature.volume = 0
+components.e_0.signature.euler = 1
+components.e_1.sum = -3*[(0,0)] + 4*[(0,0);(0,1/2);(1/2,0);(1/2,1/2)] - [(0,0);(0,1);(1,0);(1,1)]
+components.e_1.signature.volume = 0
+components.e_1.signature.euler = 0
+components.e_2.sum = 2*[(0,0)] - 4*[(0,0);(0,1/2);(1/2,0);(1/2,1/2)] + 2*[(0,0);(0,1);(1,0);(1,1)]
+components.e_2.signature.volume = 1
+components.e_2.signature.euler = 0
+""",
+    ),
+    (
+        ["decompose", "--basis", "1,0;0,1", "--a", "1", "--b", "1"],
+        0,
+        """\
+command = decompose
+basis: 1,0
+basis: 0,1
+a = 1
+b = 1
+cells.cell_0.vertices = Polytope[(0,0); (1,0); (1,1)]
+cells.cell_0.volume = 1/2
+cells.cell_1.vertices = Polytope[(1,0); (1,1); (2,0); (2,1)]
+cells.cell_1.volume = 1
+cells.cell_2.vertices = Polytope[(1,1); (2,1); (2,2)]
+cells.cell_2.volume = 1/2
+seams.seam_1 = Polytope[(1,0); (1,1)]
+seams.seam_2 = Polytope[(1,1); (2,1)]
+checks.volume_additive = True
+checks.cover = True
+checks.cells_inside = True
+checks.seams_match = True
+checks.seams_lower_dim = True
+result = pass
+""",
+    ),
+    (
+        ["decompose", "--basis", "1,0,0;1,2,0;0,-1,3", "--a", "1/2", "--b", "5/3"],
+        0,
+        """\
+command = decompose
+basis: 1,0,0
+basis: 1,2,0
+basis: 0,-1,3
+a = 1/2
+b = 5/3
+cells.cell_0.vertices = Polytope[(0,0,0); (5/3,0,0); (10/3,5/3,5); (10/3,10/3,0)]
+cells.cell_0.volume = 125/27
+cells.cell_1.vertices = Polytope[(5/3,0,0); (13/6,0,0); (10/3,5/3,5); (10/3,10/3,0); (23/6,5/3,5); (23/6,10/3,0)]
+cells.cell_1.volume = 25/6
+cells.cell_2.vertices = Polytope[(10/3,5/3,5); (10/3,10/3,0); (23/6,5/3,5); (23/6,10/3,0); (13/3,8/3,5); (13/3,13/3,0)]
+cells.cell_2.volume = 5/4
+cells.cell_3.vertices = Polytope[(10/3,5/3,5); (23/6,5/3,5); (13/3,13/6,13/2); (13/3,8/3,5)]
+cells.cell_3.volume = 1/8
+seams.seam_1 = Polytope[(5/3,0,0); (10/3,5/3,5); (10/3,10/3,0)]
+seams.seam_2 = Polytope[(10/3,5/3,5); (10/3,10/3,0); (23/6,5/3,5); (23/6,10/3,0)]
+seams.seam_3 = Polytope[(10/3,5/3,5); (23/6,5/3,5); (13/3,8/3,5)]
+checks.volume_additive = True
+checks.cover = True
+checks.cells_inside = True
+checks.seams_match = True
+checks.seams_lower_dim = True
+result = pass
+""",
+    ),
+    (
+        ["ehrhart", "--input", "cube.json", "--lambda", "6"],
+        0,
+        """\
+command = ehrhart
+input = cube.json
+counts.0 = 1
+counts.1 = 8
+counts.2 = 27
+counts.3 = 64
+counts.4 = 125
+counts.5 = 216
+counts.6 = 343
+coefficients.f_0 = 1
+coefficients.f_1 = 3
+coefficients.f_2 = 3
+coefficients.f_3 = 1
+""",
+    ),
+    (
+        ["mixed", "--input", "p.json", "--input", "q.json"],
+        0,
+        """\
+command = mixed
+inputs: p.json
+inputs: q.json
+mixed_volume = 3/2
+expansion_linear_coefficient = 3
+cross_check = pass
+""",
+    ),
+    (
+        ["compare", "--input", "s1.json", "--input", "s2.json"],
+        1,
+        """\
+command = compare
+inputs: s1.json
+inputs: s2.json
+panel: volume
+panel: euler
+panel: probe_vol:unit_cube
+panel: probe_vol:std_simplex
+panel: probe_vol:asym_simplex
+result = distinguished
+witness.valuation = euler
+witness.left = 1
+witness.right = 2
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+def test_readme_examples_golden(argv, code, stdout, tmp_path, monkeypatch, capsys):
+    for name, obj in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == code
+    assert capsys.readouterr().out == stdout

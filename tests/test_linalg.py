@@ -1,0 +1,119 @@
+"""Exact linear algebra: rank, independent_rows, det and solve against
+brute-force oracles on seeded matrices."""
+
+import itertools
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from convexval import _linalg
+
+DENOMINATORS = (1, 7, 10**6)
+SHAPES = [(m, n) for m in range(1, 6) for n in range(1, 6)] + [(7, 3), (6, 2), (3, 7), (2, 6)]
+
+
+def leibniz_det(rows):
+    size = len(rows)
+    total = F(0)
+    for perm in itertools.permutations(range(size)):
+        inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
+        term = F(-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def minor_rank(rows):
+    """Size of the largest nonzero minor."""
+    if not rows:
+        return 0
+    for k in range(min(len(rows), len(rows[0])), 0, -1):
+        for ri in itertools.combinations(range(len(rows)), k):
+            for ci in itertools.combinations(range(len(rows[0])), k):
+                if leibniz_det([[rows[i][j] for j in ci] for i in ri]) != 0:
+                    return k
+    return 0
+
+
+def random_matrix(rng, m, n):
+    """Rows of random rationals, with zero, duplicate and dependent rows mixed in."""
+    den = rng.choice(DENOMINATORS)
+
+    def entry():
+        if rng.random() < 0.3:
+            return F(0)
+        return F(rng.randint(-9, 9), rng.randint(1, den))
+
+    rows = []
+    for _ in range(m):
+        kind = rng.random()
+        if rows and kind < 0.15:
+            rows.append(rng.choice(rows))
+        elif rows and kind < 0.35:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = entry(), entry()
+            rows.append(tuple(s * x + t * y for x, y in zip(a, b)))
+        elif kind < 0.45:
+            rows.append((F(0),) * n)
+        else:
+            rows.append(tuple(entry() for _ in range(n)))
+    return rows
+
+
+def cases(count, seed):
+    rng = random.Random(seed)
+    for k in range(count):
+        m, n = SHAPES[k % len(SHAPES)]
+        yield rng, random_matrix(rng, m, n)
+
+
+def test_rank_and_independent_rows_match_minor_oracle():
+    for _, rows in cases(500, 1):
+        r = minor_rank(rows)
+        assert _linalg.rank(rows) == r
+        chosen = _linalg.independent_rows(rows)
+        assert chosen == sorted(set(chosen))
+        assert len(chosen) == r == minor_rank([rows[i] for i in chosen])
+        for i in range(len(rows)):
+            if i not in chosen:
+                before = [rows[j] for j in chosen if j < i]
+                assert minor_rank(before + [rows[i]]) == len(before)
+
+
+def test_rank_of_no_rows_is_zero():
+    assert _linalg.rank([]) == 0
+    assert _linalg.independent_rows([]) == []
+
+
+def test_det_matches_leibniz():
+    for _, rows in cases(500, 2):
+        if len(rows) == len(rows[0]):
+            assert _linalg.det(rows) == leibniz_det(rows)
+
+
+def test_solve_in_span_and_off_span():
+    for rng, rows in cases(500, 3):
+        columns = [rows[i] for i in _linalg.independent_rows(rows)]
+        if not columns:
+            continue
+        n = len(columns[0])
+        x = tuple(F(rng.randint(-9, 9), rng.randint(1, 10**6)) for _ in columns)
+        target = tuple(sum((c * col[i] for c, col in zip(x, columns)), F(0)) for i in range(n))
+        assert _linalg.solve(columns, target) == x
+        for i in range(n):
+            unit = tuple(F(int(j == i)) for j in range(n))
+            if minor_rank(columns + [unit]) > len(columns):
+                off = tuple(t + 3 * u for t, u in zip(target, unit))
+                assert _linalg.solve(columns, off) is None
+                break
+        else:
+            assert len(columns) == n  # the span is the whole space
+
+
+def test_solve_rejects_dependent_columns():
+    columns = [(F(1), F(0), F(1)), (F(2), F(0), F(2))]
+    with pytest.raises(ValueError):
+        _linalg.solve(columns, (F(3), F(0), F(3)))
+    assert _linalg.solve(columns, (F(0), F(1), F(0))) is None

@@ -3,7 +3,10 @@
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -514,3 +517,45 @@ def test_polytope_from_obj_rejects_bad_fields():
         pk.polytope_from_obj({"dim": 2, "vertices": [["0"]]})
     with pytest.raises(ParseError):
         pk.polytope_from_obj({"dim": 2, "vertices": [["0", "x"]]})
+    # JSON booleans are not numbers, though Python's bool subclasses int
+    with pytest.raises(ParseError):
+        pk.polytope_from_obj({"dim": True, "vertices": [["0"], ["2"]]})
+    with pytest.raises(ParseError):
+        pk.polytope_from_obj({"dim": 1, "vertices": [[True], [2]]})
+
+
+# ---------------------------------------------------------------------------
+# kernel invariants
+
+
+INVARIANT_PROBE = """
+from convexval import _geometry as geom
+from convexval.errors import InvariantViolation
+
+cube = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+calls = [
+    lambda: geom._plane_through(cube, (0, 0, 0), (1, 1, 0), (0, 1, 1)),
+    lambda: geom.area2_2d([(0, 0), (1, 0), (0, 1)], [0, 2, 1]),
+]
+for call in calls:
+    try:
+        call()
+    except InvariantViolation as exc:
+        print("raised:", exc)
+    else:
+        print("passed")
+"""
+
+
+def test_invariants_raise_typed_errors_under_optimize():
+    src = os.path.dirname(os.path.dirname(pk.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", INVARIANT_PROBE],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "raised: plane is not supporting",
+        "raised: polygon cycle is not counter-clockwise",
+    ]
