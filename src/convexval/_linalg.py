@@ -5,6 +5,7 @@ Every function reads the result of one greedy Gaussian elimination,
 """
 
 from fractions import Fraction
+from functools import partial
 from math import prod
 
 
@@ -33,7 +34,7 @@ def _eliminate(rows, ncols):
         if col is None:
             continue
         pivot = work[col]
-        inv = 1 / pivot
+        inv = Fraction(1, pivot)  # exact also when the rows hold ints
         found.append((i, col, pivot, [a * inv for a in work]))
         if len(found) == ncols:
             break
@@ -62,24 +63,36 @@ def det(rows):
     return (-1) ** inversions * prod((pivot for _, _, pivot, _ in found), start=Fraction(1))
 
 
-def solve(columns, target):
-    """Solve sum_j x_j * columns[j] = target exactly.
+def solver(columns):
+    """Eliminate the columns once; return target -> coefficients or None.
 
-    Returns the coefficient tuple, or None when the system is inconsistent.
-    Columns must be linearly independent (unique solution on the span).
+    The returned function solves sum_j x_j * columns[j] = target exactly,
+    giving None when the system is inconsistent. Columns must be linearly
+    independent (unique solution on the span): dependent columns raise
+    ValueError for a target on their span.
     """
     k = len(columns)
-    n = len(target)
+    n = len(columns[0]) if columns else 0
     # tag column j with the unit vector e_j; a reduced row's tag part records
     # which combination of the columns it is
     tagged = [
         tuple(col) + tuple(Fraction(int(i == j)) for i in range(k))
         for j, col in enumerate(columns)
     ]
-    found = _eliminate(tagged, n)
+    # a partial, unlike a closure, pickles with the body that keeps it
+    return partial(_solve_eliminated, _eliminate(tagged, n), k)
+
+
+def _solve_eliminated(found, k, target):
+    m = len(target)
     rest = _reduce(list(target) + [Fraction(0)] * k, found)
-    if any(a != 0 for a in rest[:n]):
+    if any(a != 0 for a in rest[:m]):
         return None
     if len(found) < k:
         raise ValueError("solve() requires independent columns")
-    return tuple(-a for a in rest[n:])
+    return tuple(-a for a in rest[m:])
+
+
+def solve(columns, target):
+    """Solve sum_j x_j * columns[j] = target exactly; see `solver`."""
+    return solver(columns)(target)

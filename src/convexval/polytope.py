@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import ceil, factorial, floor, prod
 
 from . import _geometry as geom
@@ -37,9 +37,9 @@ Point = tuple
 
 LATTICE_GUARD = 500_000
 
-# Entries kept by each cache of derived data (here and in `valuations`);
-# the oldest or least recently used entry is dropped beyond it, so memory
-# stays flat over a long run.
+# Entries kept by each module cache (`dim` here and `valuations._evaluate`);
+# the least recently used entry is dropped beyond it, so memory stays flat
+# over a long run. Data derived from one body is kept on the body itself.
 CACHE_SIZE = 1024
 
 
@@ -54,7 +54,9 @@ class Polytope:
 
     Instances are produced by `hull` (or by the trusted constructors below,
     which are used when the input is known to consist of extreme points).
-    Two polytopes are equal iff they are the same set of points.
+    Two polytopes are equal iff they are the same set of points. Data
+    derived from the vertices is computed on first use and kept on the
+    instance.
     """
 
     ambient_dim: int
@@ -69,6 +71,60 @@ class Polytope:
     def __repr__(self):
         pts = "; ".join("(" + ",".join(rat_str(c) for c in v) + ")" for v in self.vertices)
         return f"Polytope[{pts}]"
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        # the value the frozen dataclass would generate
+        return hash((self.ambient_dim, self.vertices))
+
+    @cached_property
+    def _ints(self):
+        """The vertices scaled to integers: (ints, scale)."""
+        return geom.integerize(self.vertices)
+
+    @cached_property
+    def _facets(self):
+        """Outward planes and vertex-index cycles of a full-dimensional 3D body."""
+        ints, scale = self._ints
+        facets, _ = geom.hull_3d(ints)
+        return _facet_table(facets, scale, range(len(ints)))
+
+    @cached_property
+    def _halfspaces(self):
+        """Inequalities n.x <= rhs (integer normal, Fraction rhs), full-dim body."""
+        n = self.ambient_dim
+        if n == 1:
+            return (((-1,), -self.vertices[0][0]), ((1,), self.vertices[-1][0]))
+        if n == 2:
+            ints, scale = self._ints
+            cycle = [ints[i] for i in geom.hull_2d(ints)]
+            out = []
+            for p, q in zip(cycle, cycle[1:] + cycle[:1]):
+                d = geom.sub(q, p)
+                normal = geom.primitive((d[1], -d[0]))  # outward for a CCW cycle
+                out.append((normal, Fraction(geom.dot(normal, p), scale)))
+            return tuple(out)
+        if n == 3:
+            return self._facets[0]
+        raise UnsupportedDimension(f"halfspaces in dimension {n}")
+
+    @cached_property
+    def _frame(self):
+        """(origin, solver, reduced body) in a basis of the affine hull.
+
+        The basis is the first independent differences of the vertices from
+        the first one, the origin. The solver maps x - origin to coordinates
+        in it (None off the affine hull); the reduced body is the vertices
+        in those coordinates.
+        """
+        origin = self.vertices[0]
+        diffs = [geom.sub(v, origin) for v in self.vertices]
+        basis = [diffs[i] for i in _linalg.independent_rows(diffs)]
+        solve = _linalg.solver(basis)
+        return origin, solve, _trusted(len(basis), map(solve, diffs))
 
 
 def _trusted(ambient_dim, vertices) -> Polytope:
@@ -111,8 +167,8 @@ def hull(points) -> Polytope:
     if r == n:
         coords = uniq
     else:
-        basis = [diffs[i] for i in basis_idx]
-        coords = [_linalg.solve(basis, tuple(a - b for a, b in zip(p, origin))) for p in uniq]
+        solve = _linalg.solver([diffs[i] for i in basis_idx])
+        coords = [solve(geom.sub(p, origin)) for p in uniq]
 
     ints, scale = geom.integerize(coords)
     if r == 1:
@@ -125,8 +181,21 @@ def hull(points) -> Polytope:
 
     result = Polytope(n, tuple(sorted(uniq[i] for i in keep)))
     if r == n == 3:
-        _seed_facets(result, scale, facets, uniq)
+        # ``keep`` is sorted, so vertex j of the result is point keep[j]
+        vertex_of = {i: j for j, i in enumerate(keep)}
+        vars(result)["_facets"] = _facet_table(facets, scale, vertex_of)
     return result
+
+
+def _facet_table(facets, scale, vertex_of):
+    """(planes, cycles) from `geom.hull_3d` facets on points scaled by ``scale``.
+
+    Planes are (integer normal, Fraction offset); each cycle lists vertex
+    indices, point i of the hull input becoming vertex ``vertex_of[i]``.
+    """
+    planes = tuple((n, Fraction(c, scale)) for n, c in facets)
+    cycles = tuple(tuple(vertex_of[i] for i in cyc) for cyc in facets.values())
+    return planes, cycles
 
 
 def _box_corners(pts):
@@ -145,72 +214,6 @@ def _box_corners(pts):
         axes.append((lo,) if lo == hi else (lo, hi))
     corners = set(itertools.product(*axes))
     return corners if corners <= set(pts) else None
-
-
-# ---------------------------------------------------------------------------
-# cached derived data
-
-_FACET_CACHE: dict = {}
-
-
-def _seed_facets(P, scale, facets, originals):
-    if P in _FACET_CACHE:
-        return
-    if len(_FACET_CACHE) >= CACHE_SIZE:
-        del _FACET_CACHE[next(iter(_FACET_CACHE))]
-    planes = tuple((n, Fraction(c, scale)) for (n, c) in facets)
-    cycles = tuple(tuple(originals[i] for i in cyc) for cyc in facets.values())
-    _FACET_CACHE[P] = (planes, cycles)
-
-
-def _facets3(P):
-    """Outward halfspaces and facet cycles of a full-dimensional 3D polytope."""
-    cached = _FACET_CACHE.get(P)
-    if cached is not None:
-        return cached
-    ints, scale = geom.integerize(P.vertices)
-    facets, _ = geom.hull_3d(ints)
-    _seed_facets(P, scale, facets, P.vertices)
-    return _FACET_CACHE[P]
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _halfspaces(P):
-    """Inequalities n.x <= rhs (integer normal, Fraction rhs), full-dim P."""
-    n = P.ambient_dim
-    if n == 1:
-        lo = min(v[0] for v in P.vertices)
-        hi = max(v[0] for v in P.vertices)
-        return (((-1,), -lo), ((1,), hi))
-    if n == 2:
-        ints, scale = geom.integerize(P.vertices)
-        cycle = geom.hull_2d(ints)
-        out = []
-        for i in range(len(cycle)):
-            p = ints[cycle[i]]
-            q = ints[cycle[(i + 1) % len(cycle)]]
-            d = geom.sub(q, p)
-            normal = geom.primitive((d[1], -d[0]))  # outward for a CCW cycle
-            out.append((normal, Fraction(geom.dot(normal, p), scale)))
-        return tuple(out)
-    if n == 3:
-        return _facets3(P)[0]
-    raise UnsupportedDimension(f"halfspaces in dimension {n}")
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _affine_frame(P):
-    """(origin, basis, reduced polytope) for a lower-dimensional P."""
-    origin = P.vertices[0]
-    diffs = [tuple(a - b for a, b in zip(v, origin)) for v in P.vertices[1:]]
-    idx = _linalg.independent_rows(diffs)
-    basis = tuple(diffs[i] for i in idx)
-    reduced_pts = [
-        _linalg.solve(list(basis), tuple(a - b for a, b in zip(v, origin)))
-        for v in P.vertices
-    ]
-    reduced = _trusted(len(basis), reduced_pts)
-    return origin, basis, reduced
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -271,6 +274,10 @@ class SimplexBasis:
             raise MixedDimensions("basis vectors of differing dimension")
         if _linalg.rank(list(self.vectors)) != len(self.vectors):
             raise DependentBasis("basis vectors are linearly dependent")
+
+    @cached_property
+    def _solve(self):
+        return _linalg.solver(list(self.vectors))
 
     @property
     def ambient_dim(self):
@@ -365,7 +372,7 @@ def decomposition_pieces(basis: SimplexBasis, a, b) -> DecompositionPieces:
 
 def simplex_coordinates(basis: SimplexBasis, x: Point):
     """Coefficients of x in the basis, or None when x is off the span."""
-    return _linalg.solve(list(basis.vectors), x)
+    return basis._solve(x)
 
 
 @dataclass(frozen=True)
@@ -512,7 +519,10 @@ def contains(P: Polytope, x) -> bool:
     if d == n:
         if n > 3:
             if len(P.vertices) == n + 1:
-                return _simplex_contains(P, xv)
+                # the frame's basis is the simplex's edges from its first vertex
+                origin, solve, _ = P._frame
+                sol = solve(geom.sub(xv, origin))
+                return sol is not None and all(c >= 0 for c in sol) and sum(sol) <= 1
             if _box_corners(P.vertices) is not None:
                 # the least and greatest corners of a box hold its extents
                 lo, hi = P.vertices[0], P.vertices[-1]
@@ -520,23 +530,13 @@ def contains(P: Polytope, x) -> bool:
             raise UnsupportedDimension(f"membership in dimension {n}")
         return all(
             sum(c * t for c, t in zip(normal, xv)) <= rhs
-            for normal, rhs in _halfspaces(P)
+            for normal, rhs in P._halfspaces
         )
-    origin, basis, reduced = _affine_frame(P)
-    coords = _linalg.solve(list(basis), tuple(a - b for a, b in zip(xv, origin)))
+    origin, solve, reduced = P._frame
+    coords = solve(geom.sub(xv, origin))
     if coords is None:
         return False
     return contains(reduced, coords)
-
-
-def _simplex_contains(P, xv):
-    verts = P.vertices
-    base = verts[0]
-    columns = [tuple(a - b for a, b in zip(v, base)) for v in verts[1:]]
-    sol = _linalg.solve(columns, tuple(a - b for a, b in zip(xv, base)))
-    if sol is None:
-        return False
-    return all(c >= 0 for c in sol) and sum(sol) <= 1
 
 
 def volume(P: Polytope) -> Fraction:
@@ -553,36 +553,21 @@ def volume(P: Polytope) -> Fraction:
     if _box_corners(P.vertices) is not None:
         lo, hi = P.vertices[0], P.vertices[-1]
         return prod((h - l for l, h in zip(lo, hi)), start=Fraction(1))
+    ints, scale = P._ints
     if n == 2:
-        ints, scale = geom.integerize(P.vertices)
         cycle = geom.hull_2d(ints)
         return Fraction(geom.area2_2d(ints, cycle), 2) / (scale * scale)
     if n == 3:
-        _, cycles = _facets3(P)
-        points = sorted({p for cycle in cycles for p in cycle})
-        ints, scale = geom.integerize(points)
-        coord = dict(zip(points, ints))
-        ox, oy, oz = coord[cycles[0][0]]
+        # six times the signed volumes of the tetrahedra joining vertex o to
+        # a fan triangulation of each facet
+        _, cycles = P._facets
+        o = ints[cycles[0][0]]
+        rel = [geom.sub(p, o) for p in ints]
         total = 0
         for cycle in cycles:
-            ax, ay, az = coord[cycle[0]]
-            ax -= ox
-            ay -= oy
-            az -= oz
-            for i in range(1, len(cycle) - 1):
-                bx, by, bz = coord[cycle[i]]
-                cx, cy, cz = coord[cycle[i + 1]]
-                bx -= ox
-                by -= oy
-                bz -= oz
-                cx -= ox
-                cy -= oy
-                cz -= oz
-                total += (
-                    ax * (by * cz - bz * cy)
-                    - ay * (bx * cz - bz * cx)
-                    + az * (bx * cy - by * cx)
-                )
+            a = rel[cycle[0]]
+            for b, c in zip(cycle[1:-1], cycle[2:]):
+                total += geom.dot(a, geom.cross3(rel[b], rel[c]))
         if total < 0:
             raise InvariantViolation("negative volume from facet cycles")
         return Fraction(total, 6) / scale ** 3
@@ -614,7 +599,7 @@ def lattice_count(P: Polytope, guard: int = LATTICE_GUARD) -> int:
     # The normals are integer, so at an integer point n.x <= rhs holds
     # exactly when n.x <= floor(rhs); each line along the last axis then
     # meets P in one integer range, found by floor division.
-    rows = [(normal[:-1], normal[-1], floor(rhs)) for normal, rhs in _halfspaces(P)]
+    rows = [(normal[:-1], normal[-1], floor(rhs)) for normal, rhs in P._halfspaces]
     count = 0
     for prefix in itertools.product(*axes[:-1]):
         zlo, zhi = lo[-1], hi[-1]

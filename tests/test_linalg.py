@@ -91,6 +91,9 @@ def test_det_matches_leibniz():
     for _, rows in cases(500, 2):
         if len(rows) == len(rows[0]):
             assert _linalg.det(rows) == leibniz_det(rows)
+    # rows of ints are eliminated exactly, not in floats
+    exact = _linalg.det([(1, 2), (3, 4)])
+    assert exact == -2 and type(exact) is F
 
 
 def test_solve_in_span_and_off_span():
@@ -110,6 +113,7 @@ def test_solve_in_span_and_off_span():
                 break
         else:
             assert len(columns) == n  # the span is the whole space
+    assert _linalg.solve([(3,)], (1,)) == (F(1, 3),)
 
 
 def test_solve_rejects_dependent_columns():

@@ -1,12 +1,15 @@
 """Polytope kernel: hulls, sums, dilation, volume, counting, decomposition."""
 
+import gc
 import itertools
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -101,6 +104,139 @@ def test_hull_simplex_any_dimension():
     P = pk.hull(pts)
     assert len(P.vertices) == 6
     assert pk.dim(P) == 5
+
+
+def _hull_cloud(rng):
+    """A seeded degenerate cloud in R^3: (points, apexes, affine dimension).
+
+    3D clouds are grid points, so facets hold many points, plus collinear
+    runs between them; 1D and 2D clouds are integer combinations of random
+    directions. ``apexes`` lie off the affine hull of a lower-dimensional
+    cloud and make it full-dimensional without changing which cloud points
+    are extreme. One random shear, scale and shift with denominators up to
+    10^6 then maps points and apexes alike.
+    """
+    def vec(lo, hi):
+        return tuple(rng.randint(lo, hi) for _ in range(3))
+
+    def diff(p, q):
+        return tuple(a - b for a, b in zip(p, q))
+
+    d = rng.choice((1, 2, 3, 3))
+    apexes = []
+    if d == 3:
+        g = rng.randint(1, 3)
+        pts = []
+        while not pts or det3_oracle(*(diff(p, pts[0]) for p in pts[1:])) == 0:
+            pts = [vec(0, g) for _ in range(4)]
+        pts += [vec(0, g) for _ in range(rng.randint(2, 10))]
+        for _ in range(rng.randint(0, 2)):
+            p, q = rng.sample(pts, 2)
+            pts += [tuple(a + F(k, 3) * (b - a) for a, b in zip(p, q)) for k in (1, 2, 6)]
+    else:
+        base = vec(-2, 2)
+        units = [tuple(int(i == j) for i in range(3)) for j in range(3)]
+        # independent directions, completed to a basis by unit vectors
+        completions = []
+        while not completions:
+            dirs = [vec(-2, 2) for _ in range(d)]
+            completions = [e for e in itertools.combinations(units, 3 - d)
+                           if det3_oracle(*dirs, *e) != 0]
+        steps = [(0,) * d] + [tuple(3 * (i == j) for i in range(d)) for j in range(d)]
+        steps += [tuple(rng.randint(0, 3) for _ in range(d)) for _ in range(rng.randint(1, 8))]
+        pts = [tuple(b + sum(t * v[i] for t, v in zip(ts, dirs)) for i, b in enumerate(base))
+               for ts in steps]
+        apexes = [tuple(b + c for b, c in zip(base, e)) for e in completions[0]]
+    den = rng.choice((1, 7, 10**6))
+    scale = F(rng.randint(1, 2 * den), den)
+    shift = tuple(F(rng.randint(-3 * den, 3 * den), den) for _ in range(3))
+    a, b, c = (rng.randint(-1, 1) for _ in range(3))
+
+    def warp(p):
+        x, y, z = p[0] + a * p[1] + b * p[2], p[1] + c * p[2], p[2]
+        return tuple(scale * t + s for t, s in zip((x, y, z), shift))
+
+    return [warp(p) for p in pts], [warp(p) for p in apexes], d
+
+
+def brute_hull3(cloud):
+    """Facet planes and vertices of a full-dimensional cloud, by enumeration.
+
+    A facet plane passes through a non-collinear point triple and has the
+    whole cloud on one side; it is given as (primitive integer outward
+    normal, offset). A point is a vertex iff the normals of the facet planes
+    through it have rank 3.
+    """
+    cloud = sorted(set(cloud))
+    scale = math.lcm(*(c.denominator for p in cloud for c in p))
+    ints = [tuple(int(c * scale) for c in p) for p in cloud]
+
+    def dot(p, q):
+        return sum(a * b for a, b in zip(p, q))
+
+    tried = set()
+    planes = set()
+    for p, q, r in itertools.combinations(ints, 3):
+        u = tuple(a - b for a, b in zip(q, p))
+        w = tuple(a - b for a, b in zip(r, p))
+        n = (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
+        if n == (0, 0, 0):
+            continue
+        g = math.gcd(*n) * (1 if next(x for x in n if x) > 0 else -1)
+        n = tuple(x // g for x in n)
+        off = dot(n, p)
+        if (n, off) in tried:
+            continue
+        tried.add((n, off))
+        values = [dot(n, x) for x in ints]
+        if max(values) <= off:
+            planes.add((n, off))
+        elif min(values) >= off:
+            planes.add((tuple(-x for x in n), -off))
+    vertices = set()
+    for p, x in zip(cloud, ints):
+        normals = [n for n, off in planes if dot(n, x) == off]
+        if any(det3_oracle(*t) != 0 for t in itertools.combinations(normals, 3)):
+            vertices.add(p)
+    return {(n, F(off, scale)) for n, off in planes}, vertices
+
+
+def test_hull_matches_brute_force_enumeration():
+    rng = random.Random(3301)
+    seeded = 0
+    for _ in range(300):
+        cloud, apexes, d = _hull_cloud(rng)
+        P = pk.hull(cloud)
+        if d == 3 and len(set(cloud)) > 4:
+            # not a simplex: hull fills in the facets it found
+            assert "_facets" in vars(P)
+            seeded += 1
+        planes, vertices = brute_hull3(cloud + apexes)
+        assert pk.dim(P) == d
+        assert set(P.vertices) == vertices - set(apexes), cloud
+        # a copy of the same vertices computes its own derived data
+        Q = pk._trusted(3, P.vertices)
+        assert pk.volume(P) == pk.volume(Q)
+        if d == 3:
+            assert set(P._halfspaces) == planes == set(Q._halfspaces)
+            assert pk.lattice_count(P) == pk.lattice_count(Q)
+    assert seeded >= 100
+
+
+def test_hash_and_pickle_with_derived_data():
+    rng = random.Random(17)
+    bodies = [_oracle_body(rng, 1 + k % 3) for k in range(60)]
+    bodies += [pk.hull([(1, 2, 3)]), pk.unit_cube(5), pk.standard_simplex(4)]
+    for P in bodies:
+        pk.contains(P, P.vertices[0])  # derived data cached before hashing
+        assert hash(P) == hash((P.ambient_dim, P.vertices))
+        assert pickle.loads(pickle.dumps(P)) == P
+    # so a set of bodies iterates in the order of the same set of values
+    values = [(P.ambient_dim, P.vertices) for P in bodies]
+    assert [(P.ambient_dim, P.vertices) for P in set(bodies)] == list(set(values))
+    basis = pk.simplex_basis([(1, 0), (1, 2)])
+    assert pk.simplex_coordinates(basis, (2, 2)) == (1, 1)
+    assert pickle.loads(pickle.dumps(basis)) == basis
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +351,9 @@ def test_dependent_basis_rejected():
         pk.simplex_basis([(1, 0), (2, 0)])
     with pytest.raises(DependentBasis):
         pk.simplex_basis([])
+    # int rows, dependent: 87/203 = 60/140 = 3/7
+    with pytest.raises(DependentBasis):
+        pk.SimplexBasis(((203, 203, 140), (87, 87, 60)))
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +529,13 @@ def test_lattice_count_matches_brute_force_scan():
         if pk.dim(P) < n:
             lower_dim += 1
         elif n > 1:
-            vertical += any(normal[-1] == 0 for normal, _ in pk._halfspaces(P))
+            vertical += any(normal[-1] == 0 for normal, _ in P._halfspaces)
     assert lower_dim >= 150 and vertical >= 100
 
 
 def test_lattice_count_box_with_vertical_facets():
     box = pk.hull(itertools.product(("-3/2", "7/3"), ("-1", "2"), ("-1/7", "5/2")))
-    assert any(normal[-1] == 0 for normal, _ in pk._halfspaces(box))
+    assert any(normal[-1] == 0 for normal, _ in box._halfspaces)
     assert pk.lattice_count(box) == 4 * 4 * 3 == brute_lattice_count(box)
 
 
@@ -406,17 +545,24 @@ def test_caches_stay_within_their_bound():
     tet = pk.standard_simplex(3)
     seg = pk.hull([(0, 0), (2, 2)])
     first = pk.translate(tet, (-1, 0, 0))
+    flat = pk.translate(seg, (-1, 0))
     expected = (vv.evaluate(vol, first), pk.dim(first), pk.lattice_count(first))
+    pk.lattice_count(flat)
+    # derived data lives on the bodies, so nothing outlives them once the
+    # two module caches have dropped them
+    refs = [weakref.ref(first), weakref.ref(flat)]
+    del first, flat
     for k in range(bound + 1):
         body = pk.translate(tet, (k, 0, 0))
         vv.evaluate(vol, body)
         pk.lattice_count(body)
         pk.lattice_count(pk.translate(seg, (k, 0)))
-    for cache in (pk.dim, pk._halfspaces, pk._affine_frame, vv._evaluate):
+    for cache in (pk.dim, vv._evaluate):
         assert cache.cache_info().maxsize == bound
         assert cache.cache_info().currsize <= bound
-    assert len(pk._FACET_CACHE) <= bound
-    assert first not in pk._FACET_CACHE
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    first = pk.translate(tet, (-1, 0, 0))
     misses = pk.dim.cache_info().misses
     assert (vv.evaluate(vol, first), pk.dim(first), pk.lattice_count(first)) == expected
     assert pk.dim.cache_info().misses > misses
