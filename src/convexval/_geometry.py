@@ -1,10 +1,12 @@
 """Exact convex-hull engines on integer coordinates.
 
-Internal module. Callers clear denominators once (``integerize``) so that
-every predicate below is plain big-integer arithmetic: no floats, no
-tolerances. The 3D hull is a gift-wrapping walk that merges coplanar points
-into a single facet polygon, which keeps degenerate inputs (Minkowski sums,
-boxes, grid-like vertex sets) exact and cheap at desk scale.
+Internal module. Callers clear denominators once (``integerize``), or add
+integer forms over a common scale, so that every predicate below is plain
+big-integer arithmetic: no floats, no tolerances. Scaling the input by a
+positive integer scales the plane offsets and changes nothing else. The 3D
+hull is a gift-wrapping walk that merges coplanar points into a single facet
+polygon, which keeps degenerate inputs (Minkowski sums, boxes, grid-like
+vertex sets) exact and cheap at desk scale.
 """
 
 from fractions import Fraction
@@ -57,7 +59,7 @@ def integerize(points):
         for c in p:
             d = c.denominator
             scale = scale // gcd(scale, d) * d
-    ints = [tuple(int(c * scale) for c in p) for p in points]
+    ints = [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points]
     return ints, scale
 
 
@@ -75,9 +77,12 @@ def hull_2d(pts):
     def chain(idxs):
         out = []
         for i in idxs:
-            while len(out) >= 2 and cross2(
-                sub(pts[out[-1]], pts[out[-2]]), sub(pts[i], pts[out[-1]])
-            ) <= 0:
+            x, y = pts[i]
+            # pop while (a, b, (x, y)) makes no left turn
+            while len(out) >= 2:
+                (ax, ay), (bx, by) = pts[out[-2]], pts[out[-1]]
+                if (bx - ax) * (y - by) - (by - ay) * (x - bx) > 0:
+                    break
                 out.pop()
             out.append(i)
         return out
@@ -112,14 +117,14 @@ def _perp_vector(n):
 
 def _plane_through(pts, u, w, q):
     """Supporting plane through three points, outward primitive normal."""
-    n = primitive(cross3(sub(w, u), sub(q, u)))
+    n = nx, ny, nz = primitive(cross3(sub(w, u), sub(q, u)))
     c = dot(n, u)
-    vals = [dot(n, p) for p in pts]
+    vals = [nx * x + ny * y + nz * z for x, y, z in pts]
     if max(vals) > c:
+        # points on both sides: not supporting either way round
+        if min(vals) < c:
+            raise InvariantViolation("plane is not supporting")
         n, c = neg(n), -c
-        vals = [-v for v in vals]
-    if max(vals) > c:
-        raise InvariantViolation("plane is not supporting")
     return n, c
 
 
@@ -152,10 +157,12 @@ def _pivot(pts, u, t, n):
 
 def _facet_cycle(pts, n, c):
     """Vertex cycle of the facet on plane n.x == c, CCW seen from outside."""
-    on = [i for i, p in enumerate(pts) if dot(n, p) == c]
-    b1 = _perp_vector(n)
-    b2 = cross3(n, b1)
-    proj = [(dot(b1, pts[i]), dot(b2, pts[i])) for i in on]
+    nx, ny, nz = n
+    on = [i for i, (x, y, z) in enumerate(pts) if nx * x + ny * y + nz * z == c]
+    b1 = ax, ay, az = _perp_vector(n)
+    b2 = bx, by, bz = cross3(n, b1)
+    proj = [(ax * x + ay * y + az * z, bx * x + by * y + bz * z)
+            for x, y, z in (pts[i] for i in on)]
     local = hull_2d(proj)
     # (b1, b2, n) is right-handed, so CCW in the projection is CCW from outside
     return [on[i] for i in local]

@@ -46,6 +46,11 @@ def independent_rows(rows):
     return [i for i, _, _, _ in _eliminate(rows, len(rows[0]) if rows else 0)]
 
 
+def pivot_columns(rows):
+    """Pivot column of each row `independent_rows` picks; one per rank."""
+    return [col for _, col, _, _ in _eliminate(rows, len(rows[0]) if rows else 0)]
+
+
 def rank(rows):
     """Rank of a list of equal-length Fraction tuples."""
     return len(independent_rows(rows))
@@ -81,6 +86,11 @@ def solver(columns):
     ]
     # a partial, unlike a closure, pickles with the body that keeps it
     return partial(_solve_eliminated, _eliminate(tagged, n), k)
+
+
+def solver_rank(solve):
+    """Rank of the columns a `solver` result was prepared from."""
+    return len(solve.args[0])
 
 
 def _solve_eliminated(found, k, target):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from fractions import Fraction
 
 from . import bodygroup as bg
@@ -246,7 +247,12 @@ def _cmd_decompose(args) -> tuple[int, dict]:
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
-    results = vs.run_all(args.seed)
+    results = []
+    for suite in vs.SUITES:
+        start = time.perf_counter()
+        results.append(suite(args.seed))
+        if args.stats:
+            sys.stderr.write(f"stats: {time.perf_counter() - start:.3f} s {results[-1].name}\n")
     report = {
         "command": "verify",
         "seed": args.seed,
@@ -369,6 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the seeded verification suites")
     common(p)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--stats", action="store_true", help="each suite's wall seconds on stderr")
 
     p = sub.add_parser("ehrhart", help="lattice counts of integer dilates")
     common(p, 1)

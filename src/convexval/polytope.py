@@ -3,7 +3,8 @@
 A `Polytope` stores the extreme points of its convex hull, sorted
 lexicographically, with every coordinate an exact `Fraction`. All operations
 (dilation, translation, Minkowski sum, volume, membership, lattice counting)
-are exact; there is no floating point anywhere in this module.
+are exact; there is no floating point anywhere in this module. Hulls, sums,
+volumes and membership work on each body's integer form, `Polytope._ints`.
 
 General-position bodies are supported up to ambient dimension 3. Simplices
 and axis-aligned boxes get closed forms in any dimension.
@@ -15,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import ceil, factorial, floor, prod
+from math import ceil, factorial, floor, gcd, lcm, prod
 
 from . import _geometry as geom
 from . import _linalg
@@ -112,19 +113,24 @@ class Polytope:
         raise UnsupportedDimension(f"halfspaces in dimension {n}")
 
     @cached_property
+    def _span(self):
+        """Indices into vertices[1:] of a basis of differences from vertex 0."""
+        ints, _ = self._ints
+        return tuple(_linalg.independent_rows([geom.sub(v, ints[0]) for v in ints[1:]]))
+
+    @cached_property
     def _frame(self):
         """(origin, solver, reduced body) in a basis of the affine hull.
 
-        The basis is the first independent differences of the vertices from
-        the first one, the origin. The solver maps x - origin to coordinates
+        The basis is the differences `_span` picks of the vertices from the
+        first one, the origin. The solver maps x - origin to coordinates
         in it (None off the affine hull); the reduced body is the vertices
         in those coordinates.
         """
         origin = self.vertices[0]
         diffs = [geom.sub(v, origin) for v in self.vertices]
-        basis = [diffs[i] for i in _linalg.independent_rows(diffs)]
-        solve = _linalg.solver(basis)
-        return origin, solve, _trusted(len(basis), map(solve, diffs))
+        solve = _linalg.solver([diffs[i + 1] for i in self._span])
+        return origin, solve, _trusted(len(self._span), map(solve, diffs))
 
 
 def _trusted(ambient_dim, vertices) -> Polytope:
@@ -145,45 +151,45 @@ def hull(points) -> Polytope:
     n = len(pts[0])
     if any(len(p) != n for p in pts):
         raise MixedDimensions("points of differing ambient dimension")
-    uniq = sorted(set(pts))
-    if len(uniq) == 1:
-        return Polytope(n, (uniq[0],))
+    return _hull_ints(n, *geom.integerize(pts))
 
-    origin = uniq[0]
-    diffs = [tuple(a - b for a, b in zip(p, origin)) for p in uniq[1:]]
-    basis_idx = _linalg.independent_rows(diffs)
-    r = len(basis_idx)
+
+def _hull_ints(n, ints, scale) -> Polytope:
+    """The hull of the points ints[i] / scale, computed on the integers, which
+    sort like the points; the result is handed its integer form and 3D facets.
+    """
+    uniq = sorted(set(ints))
+    cols = _linalg.pivot_columns([geom.sub(p, uniq[0]) for p in uniq[1:]])
+    r = len(cols)
+    keep, facets = range(len(uniq)), None
     if len(uniq) == r + 1:
-        # affinely independent: a simplex, every point is extreme
-        return Polytope(n, tuple(uniq))
-    if r > 3:
+        pass  # affinely independent points (a simplex or a point) are all extreme
+    elif r > 3:
         corners = _box_corners(uniq)
-        if corners is not None:
-            return Polytope(n, tuple(sorted(corners)))
-        raise UnsupportedDimension(
-            f"general hull in affine dimension {r} (> 3) is not supported"
-        )
-
-    if r == n:
-        coords = uniq
+        if corners is None:
+            raise UnsupportedDimension(f"general hull in affine dimension {r} (> 3)"
+                                       " is not supported")
+        keep = [i for i, p in enumerate(uniq) if p in corners]
+    elif r == 1:
+        # collinear points sort along their line: the ends are extreme
+        keep = [0, len(uniq) - 1]
     else:
-        solve = _linalg.solver([diffs[i] for i in basis_idx])
-        coords = [solve(geom.sub(p, origin)) for p in uniq]
-
-    ints, scale = geom.integerize(coords)
-    if r == 1:
-        keep = [min(range(len(ints)), key=lambda i: ints[i]),
-                max(range(len(ints)), key=lambda i: ints[i])]
-    elif r == 2:
-        keep = geom.hull_2d(ints)
-    else:
-        facets, keep = geom.hull_3d(ints)
-
-    result = Polytope(n, tuple(sorted(uniq[i] for i in keep)))
-    if r == n == 3:
+        # the pivot coordinates map the affine hull one to one, and so keep
+        # which points are extreme
+        coords = uniq if r == n else [tuple(p[c] for c in sorted(cols)) for p in uniq]
+        if r == 2:
+            keep = sorted(geom.hull_2d(coords))
+        else:
+            facets, keep = geom.hull_3d(coords)
+    g = gcd(scale, *itertools.chain.from_iterable(uniq[i] for i in keep))
+    kept, den = [tuple(c // g for c in uniq[i]) for i in keep], scale // g
+    # one Fraction per distinct coordinate, shared by the vertices to save memory
+    value = {c: Fraction(c, den) for c in set(itertools.chain.from_iterable(kept))}
+    result = Polytope(n, tuple(tuple(value[c] for c in p) for p in kept))
+    vars(result)["_ints"] = (kept, den)
+    if facets is not None and n == 3:
         # ``keep`` is sorted, so vertex j of the result is point keep[j]
-        vertex_of = {i: j for j, i in enumerate(keep)}
-        vars(result)["_facets"] = _facet_table(facets, scale, vertex_of)
+        vars(result)["_facets"] = _facet_table(facets, scale, {i: j for j, i in enumerate(keep)})
     return result
 
 
@@ -219,9 +225,7 @@ def _box_corners(pts):
 @lru_cache(maxsize=CACHE_SIZE)
 def dim(P: Polytope) -> int:
     """Affine dimension of the polytope (0 for a point)."""
-    origin = P.vertices[0]
-    diffs = [tuple(a - b for a, b in zip(v, origin)) for v in P.vertices[1:]]
-    return _linalg.rank(diffs)
+    return len(P._span)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +260,11 @@ def translate(P: Polytope, t) -> Polytope:
 def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
     if P.ambient_dim != Q.ambient_dim:
         raise DimensionMismatch("Minkowski sum of different ambient dimensions")
-    sums = {tuple(a + b for a, b in zip(p, q)) for p in P.vertices for q in Q.vertices}
-    return hull(sums)
+    # both integer forms over the common scale lcm(ps, qs) = a * ps = b * qs
+    (pi, ps), (qi, qs) = P._ints, Q._ints
+    a, b = lcm(ps, qs) // ps, lcm(ps, qs) // qs
+    sums = {tuple(a * x + b * y for x, y in zip(p, q)) for p in pi for q in qi}
+    return _hull_ints(P.ambient_dim, sums, a * ps)
 
 
 @dataclass(frozen=True)
@@ -272,7 +279,7 @@ class SimplexBasis:
         n = len(self.vectors[0])
         if any(len(v) != n for v in self.vectors):
             raise MixedDimensions("basis vectors of differing dimension")
-        if _linalg.rank(list(self.vectors)) != len(self.vectors):
+        if _linalg.solver_rank(self._solve) != len(self.vectors):
             raise DependentBasis("basis vectors are linearly dependent")
 
     @cached_property
@@ -523,13 +530,15 @@ def contains(P: Polytope, x) -> bool:
                 origin, solve, _ = P._frame
                 sol = solve(geom.sub(xv, origin))
                 return sol is not None and all(c >= 0 for c in sol) and sum(sol) <= 1
-            if _box_corners(P.vertices) is not None:
+            if _box_corners(P._ints[0]) is not None:
                 # the least and greatest corners of a box hold its extents
                 lo, hi = P.vertices[0], P.vertices[-1]
                 return all(l <= c <= h for l, c, h in zip(lo, xv, hi))
             raise UnsupportedDimension(f"membership in dimension {n}")
+        # n.x <= rhs with x = X / den and rhs = p / q reads n.X * q <= p * den
+        (X,), den = geom.integerize([xv])
         return all(
-            sum(c * t for c, t in zip(normal, xv)) <= rhs
+            geom.dot(normal, X) * rhs.denominator <= rhs.numerator * den
             for normal, rhs in P._halfspaces
         )
     origin, solve, reduced = P._frame
@@ -550,10 +559,10 @@ def volume(P: Polytope) -> Fraction:
         base = P.vertices[0]
         rows = [tuple(a - b for a, b in zip(v, base)) for v in P.vertices[1:]]
         return abs(_linalg.det(rows)) / factorial(n)
-    if _box_corners(P.vertices) is not None:
+    ints, scale = P._ints
+    if _box_corners(ints) is not None:
         lo, hi = P.vertices[0], P.vertices[-1]
         return prod((h - l for l, h in zip(lo, hi)), start=Fraction(1))
-    ints, scale = P._ints
     if n == 2:
         cycle = geom.hull_2d(ints)
         return Fraction(geom.area2_2d(ints, cycle), 2) / (scale * scale)

@@ -414,15 +414,7 @@ def factorization_consequence(seed: int, count: int = 25) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def run_all(seed: int) -> list:
-    """Run the eight suites at their acceptance sizes."""
-    return [
-        difference_laws(seed),
-        simplex_decomposition(seed),
-        dilation_vanishing(seed),
-        component_identities(seed),
-        mixed_volume_cross_check(seed),
-        ehrhart_counts(),
-        expansion_uniqueness(seed),
-        factorization_consequence(seed),
-    ]
+# the eight suites at their acceptance sizes, each called with the seed
+SUITES = (difference_laws, simplex_decomposition, dilation_vanishing, component_identities,
+          mixed_volume_cross_check, lambda seed: ehrhart_counts(), expansion_uniqueness,
+          factorization_consequence)

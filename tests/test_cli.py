@@ -6,6 +6,7 @@ import pytest
 
 from convexval import bodygroup as bg
 from convexval import polytope as pk
+from convexval import verify_suite as vs
 from convexval.cli import parse_polytope, parse_polytope_with_notices, run
 from convexval.errors import ParseError
 
@@ -205,6 +206,27 @@ def test_exit_code_json_boolean_as_number(command, payload, tmp_path, capsys):
     path.write_text(json.dumps(payload))
     inputs = ["--input", str(path)] * (2 if command == "compare" else 1)
     _assert_usage_error([command, *inputs], capsys)
+
+
+def test_verify_stats_times_each_suite_on_stderr_only(monkeypatch, capsys):
+    def stub(name, ok):
+        def suite(seed):
+            result = vs.SuiteResult(name)
+            result.count(ok, f"seed {seed}")
+            return result
+        return suite
+
+    monkeypatch.setattr(vs, "SUITES", (stub("first suite", True), stub("second suite", False)))
+    assert run(["verify", "--seed", "3"]) == 1
+    plain = capsys.readouterr()
+    assert run(["verify", "--seed", "3", "--stats"]) == 1
+    timed = capsys.readouterr()
+    assert plain.err == "" and timed.out == plain.out
+    assert "first suite" in plain.out and "seed 3" in plain.out
+    lines = [line.split(" ", 3) for line in timed.err.splitlines()]
+    assert [(tag, unit, name) for tag, _, unit, name in lines] == [
+        ("stats:", "s", "first suite"), ("stats:", "s", "second suite")]
+    assert all(float(seconds) >= 0 for _, seconds, _, _ in lines)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,206 @@
+"""The kernel's integer paths against their Fraction definitions.
+
+`minkowski_sum` adds the two bodies' integer forms over a common scale and
+`contains` compares integer normals with the query point scaled to integers.
+Each is checked here against the plain Fraction computation it replaces, on
+seeded inputs with denominators up to 10^6, lower-dimensional bodies
+included.
+"""
+
+import itertools
+import math
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from convexval import _geometry as geom
+from convexval import polytope as pk
+from convexval.errors import DependentBasis, UnsupportedDimension
+
+
+def fraction_minkowski_sum(P, Q):
+    """The Fraction definition: the hull of all vertex sums."""
+    return pk.hull({tuple(a + b for a, b in zip(p, q)) for p in P.vertices for q in Q.vertices})
+
+
+def fraction_contains(P, x):
+    """Membership over Fractions: the halfspace test on a full-dimensional
+    body, the affine frame otherwise."""
+    if len(P.vertices) == 1:
+        return x == P.vertices[0]
+    if pk.dim(P) == P.ambient_dim:
+        return all(sum(c * t for c, t in zip(normal, x)) <= rhs for normal, rhs in P._halfspaces)
+    origin, solve, reduced = P._frame
+    coords = solve(tuple(a - b for a, b in zip(x, origin)))
+    return coords is not None and fraction_contains(reduced, coords)
+
+
+def _body(rng, n):
+    """A seeded body in R^n of affine dimension 0..n.
+
+    The points are a base point plus nonnegative rational combinations of
+    0..n random directions, so most bodies are lower-dimensional;
+    coordinates have denominators 1, 2, 7 or 10^6.
+    """
+    den = rng.choice((1, 2, 7, 10**6))
+
+    def coord():
+        return F(rng.randint(-3 * den, 3 * den), den)
+
+    base = tuple(coord() for _ in range(n))
+    dirs = [tuple(coord() for _ in range(n)) for _ in range(rng.randint(0, n))]
+    pts = [base]
+    for _ in range(rng.randint(1, 7)):
+        ts = [F(rng.randint(0, 3), rng.choice((1, 2, 3))) for _ in dirs]
+        pts.append(tuple(b + sum((t * d[i] for t, d in zip(ts, dirs)), F(0))
+                         for i, b in enumerate(base)))
+    return pk.hull(pts)
+
+
+def _assert_same_body(S, O):
+    """S equals the Fraction result O, and so does each piece of derived data."""
+    assert S.vertices == O.vertices
+    n = S.ambient_dim
+    # the integer form handed over is the canonical one of the vertices
+    assert S._ints == O._ints == geom.integerize(S.vertices)
+    assert pk.dim(S) == pk.dim(O)
+    assert pk.volume(S) == pk.volume(O)
+    if pk.dim(S) == n and n <= 3:
+        if n == 3 and len(S.vertices) > 4:
+            assert "_facets" in vars(S)
+        assert S._halfspaces == O._halfspaces
+        # a copy without handed-over data computes the same planes itself
+        copy = pk._trusted(n, S.vertices)
+        assert set(copy._halfspaces) == set(S._halfspaces)
+        if n == 3:
+            assert S._facets[0] == O._facets[0]
+            assert pk.volume(copy) == pk.volume(S)
+
+
+def test_minkowski_sum_matches_fraction_definition():
+    rng = random.Random(6006)
+    lower = seams = full3 = 0
+    for k in range(600):
+        n = 1 + k % 3
+        P, Q = _body(rng, n), _body(rng, n)
+        S = pk.minkowski_sum(P, Q)
+        _assert_same_body(S, fraction_minkowski_sum(P, Q))
+        lower += pk.dim(P) < n or pk.dim(Q) < n
+        seams += pk.dim(S) < n
+        full3 += n == 3 and pk.dim(S) == 3
+    assert lower >= 400 and seams >= 150 and full3 >= 80
+
+
+def test_minkowski_sum_staircase_pieces_match_fraction_definition():
+    rng = random.Random(6007)
+    for _ in range(30):
+        d = rng.randint(1, 3)
+        basis = None
+        while basis is None:
+            try:
+                basis = pk.simplex_basis(
+                    [[F(rng.randint(-4, 4), rng.choice((1, 3, 10**6))) for _ in range(d)]
+                     for _ in range(d)])
+            except DependentBasis:
+                pass
+        a, b = (F(rng.randint(1, 5), rng.randint(1, 4)) for _ in range(2))
+        sums = pk._partial_sums(basis)
+
+        def partial(lo, hi, factor):
+            verts = (tuple(p - q for p, q in zip(sums[j], sums[lo])) for j in range(lo, hi + 1))
+            return pk.dilate(pk._trusted(d, verts), factor)
+
+        # cell i = a S(v1..vi) + b S(vi+1..vd); seam i replaces i by i-1 in the head
+        pairs = [(partial(0, i, a), partial(i, d, b)) for i in range(d + 1)]
+        pairs += [(partial(0, i - 1, a), partial(i, d, b)) for i in range(1, d + 1)]
+        for head, tail in pairs:
+            _assert_same_body(pk.minkowski_sum(head, tail), fraction_minkowski_sum(head, tail))
+
+
+def test_minkowski_sum_beyond_three_dimensions():
+    rng = random.Random(6008)
+    for _ in range(20):
+        lo = [F(rng.randint(-9, 9), rng.choice((1, 5, 10**6))) for _ in range(4)]
+        box = pk.hull(itertools.product(*((c, c + rng.randint(1, 3)) for c in lo)))
+        box2 = pk.dilate(pk.unit_cube(4), F(rng.randint(1, 9), 7))
+        shift = pk.hull([[F(rng.randint(-9, 9), 10**6 - 1) for _ in range(4)]])
+        simplex = pk.dilate(pk.standard_simplex(4), F(rng.randint(1, 9), 2))
+        for P, Q in ((box, box2), (simplex, shift), (shift, box)):
+            S = pk.minkowski_sum(P, Q)
+            O = fraction_minkowski_sum(P, Q)
+            assert S.vertices == O.vertices and S._ints == geom.integerize(S.vertices)
+            assert pk.volume(S) == pk.volume(O)
+    segment = pk.hull([(0, 0, 0, 0), (1, 1, 1, F(1, 3))])
+    simplex = pk.standard_simplex(4)
+    with pytest.raises(UnsupportedDimension) as fast:
+        pk.minkowski_sum(simplex, segment)
+    with pytest.raises(UnsupportedDimension) as slow:
+        fraction_minkowski_sum(simplex, segment)
+    assert str(fast.value) == str(slow.value)
+
+
+def _membership_points(rng, P):
+    """Points on P (vertices, exact boundary points) and points just off them.
+
+    Boundary points are convex combinations of the vertices on one facet
+    (or of any vertices, for a lower-dimensional body); each is moved by a
+    random integer vector over a large prime denominator, coprime to the
+    body's.
+    """
+    verts = list(P.vertices)
+    n = P.ambient_dim
+    groups = [verts]
+    if pk.dim(P) == n:
+        groups = [[v for v in verts if sum(c * t for c, t in zip(normal, v)) == rhs]
+                  for normal, rhs in P._halfspaces]
+    on_body, near = list(verts), []
+    for group in groups:
+        weights = [F(rng.randint(1, 5)) for _ in group]
+        total = sum(weights)
+        on = tuple(sum((w * v[i] for w, v in zip(weights, group)), F(0)) / total
+                   for i in range(n))
+        q = rng.choice((999_983, 1_000_003, 10**9 + 7))
+        on_body.append(on)
+        for _ in range(2):
+            step = [rng.randint(-2, 2) for _ in range(n)]
+            near.append(tuple(c + F(s, q) for c, s in zip(on, step)))
+    return on_body, near
+
+
+def test_contains_matches_fraction_halfspace_test():
+    rng = random.Random(6009)
+    seen = {True: 0, False: 0}
+    lower = 0
+    for k in range(300):
+        n = 1 + k % 3
+        P = _body(rng, n)
+        lower += pk.dim(P) < n
+        on_body, near = _membership_points(rng, P)
+        for x in on_body + near:
+            expected = fraction_contains(P, x)
+            assert pk.contains(P, x) == expected, (P, x)
+            seen[expected] += 1
+        assert all(pk.contains(P, x) for x in on_body)
+    assert lower >= 60 and min(seen.values()) >= 500
+
+
+def test_hull_3d_is_invariant_under_integer_scaling():
+    rng = random.Random(6010)
+    for _ in range(150):
+        g = rng.randint(1, 4)
+        pts = []
+        while not pts:
+            pts = sorted({tuple(rng.randint(-g, g) for _ in range(3))
+                          for _ in range(rng.randint(4, 16))})
+            diffs = [geom.sub(p, pts[0]) for p in pts[1:]]
+            if not any(geom.dot(geom.cross3(a, b), c)
+                       for a, b, c in itertools.combinations(diffs, 3)):
+                pts = []  # affine rank below 3
+        k = rng.choice((2, 3, rng.randint(4, 10**6)))
+        facets, vertices = geom.hull_3d(pts)
+        scaled, scaled_vertices = geom.hull_3d([tuple(k * c for c in p) for p in pts])
+        assert scaled_vertices == vertices
+        assert list(scaled) == [(normal, k * c) for normal, c in facets]
+        assert list(scaled.values()) == list(facets.values())
+        assert all(math.gcd(*normal) == 1 for normal, _ in facets)
