@@ -12,18 +12,20 @@ elements, while agreement is only a fingerprint match.
 `mcmullen_components` realizes the grading: e_0[X], ..., e_d[X] are explicit
 integer combinations of rational dilates of X with e_0[X] = [point],
 sum e_i[X] = [X], re-extraction idempotence, and degree-i homogeneity under
-dilation, all checkable exactly.
+dilation, all checkable exactly. The integers and dilation factors depend on
+the degree only, so they are extracted once per degree into a table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from . import polytope as pk
 from .diffcalc import QQ_NONNEG, FunctionHandle, GroupOps, extract_components
-from .errors import InvariantViolation, ParseError
+from .errors import InvariantViolation, ParseError, ReconstructionFailure
 from .rationals import rat, rat_str
 from .valuations import evaluate_sum
 
@@ -157,7 +159,8 @@ def mcmullen_components(P: pk.Polytope, degree: int | None = None) -> list:
     integer combinations of rational dilates of P summing to [P] exactly.
 
     ``degree`` defaults to dim(P); any bound >= dim(P) is valid and yields
-    identically zero extra components.
+    identically zero extra components, and a smaller one raises
+    ReconstructionFailure.
     """
     if degree is None:
         degree = pk.dim(P)
@@ -165,15 +168,80 @@ def mcmullen_components(P: pk.Polytope, degree: int | None = None) -> list:
 
 
 def component_extraction_on_sum(s: FormalSum, degree: int) -> list:
-    """Degree components of a formal sum; additive in the sum."""
-    handle = FunctionHandle(
-        lambda t: dilate_class(s, t), QQ_NONNEG, formal_sum_group()
-    )
-    probes = [Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2)]
-    # component additivity holds only modulo the group relations, i.e. under
-    # every translation-invariant valuation, so it is not checked structurally
-    expansion = extract_components(handle, degree, probes=probes, check_additivity=False)
-    return [expansion.constant] + [comp.at_ones for comp in expansion.components]
+    """Degree components of a formal sum; additive in the sum.
+
+    Entry i is sum of coef * dilate_class(s, t) over row i of the degree's
+    table. Raises ReconstructionFailure when ``degree`` is below the
+    dimension of a term (t -> [tX] has degree dim X) or the table fails to
+    rebuild dilate_class(s, a) at a probe.
+    """
+    rows, probe_rows = component_table(degree)
+    top = max((pk.dim(poly) for poly, _ in s.terms), default=0)
+    if degree < top:
+        raise ReconstructionFailure(
+            f"degree {degree} is below the dimension {top} of a term; "
+            f"the degree-{degree} vanishing hypothesis fails"
+        )
+    dilates: dict = {}
+
+    def dilated(t) -> FormalSum:
+        if t not in dilates:
+            dilates[t] = dilate_class(s, t)
+        return dilates[t]
+
+    def combination(row) -> FormalSum:
+        acc: dict = {}
+        for t, coef in row:
+            for poly, k in dilated(t).terms:
+                acc[poly] = acc.get(poly, 0) + coef * k
+        return _from_dict(acc)
+
+    comps = [combination(row) for row in rows]
+    for a, row in probe_rows:
+        if dilated(a) != combination(row):
+            raise ReconstructionFailure(
+                f"expansion does not reconstruct the function at probe {a!r}; "
+                f"the degree-{degree} vanishing hypothesis fails"
+            )
+    return comps
+
+
+def _merge(x: dict, y: dict) -> dict:
+    acc = dict(x)
+    for t, c in y.items():
+        acc[t] = acc.get(t, 0) + c
+    return {t: c for t, c in acc.items() if c}
+
+
+# integer combinations of dilation factors: {t: coef} stands for
+# sum coef * [tX], and t -> {t: 1} is the free dilation function
+_FACTOR_SUMS = GroupOps(
+    add=_merge,
+    zero={},
+    neg=lambda x: {t: -c for t, c in x.items()},
+    scale=lambda k, x: {t: k * c for t, c in x.items()} if k else {},
+)
+_PROBES = (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2))
+
+
+@lru_cache(maxsize=32)
+def component_table(degree: int) -> tuple:
+    """(rows, probe_rows) of the degree-``degree`` grading.
+
+    rows[i] holds the (factor t, integer coef) pairs with
+    e_i[X] = sum coef * [tX]; probe_rows holds (a, row) with the expansion's
+    value at a. Extracted by the generic `extract_components` from the free
+    dilation function t -> {t: 1}; every formal sum maps that function to
+    t -> dilate_class(s, t) by a group homomorphism, so applying the rows to
+    the dilates of s gives the components the generic extractor would.
+    """
+    handle = FunctionHandle(lambda t: {t: 1}, QQ_NONNEG, _FACTOR_SUMS)
+    # reconstruction is checked on each sum, where it can fail
+    expansion = extract_components(handle, degree, probes=[], check_additivity=False)
+    values = [expansion.constant] + [comp.at_ones for comp in expansion.components]
+    rows = tuple(tuple(sorted(x.items())) for x in values)
+    probe_rows = tuple((a, tuple(sorted(expansion.value(a).items()))) for a in _PROBES)
+    return rows, probe_rows
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ import pytest
 from convexval import bodygroup as bg
 from convexval import polytope as pk
 from convexval import valuations as vv
-from convexval.errors import NegativeFactor, ParseError
+from convexval.diffcalc import QQ_NONNEG, FunctionHandle, extract_components
+from convexval.errors import NegativeFactor, ParseError, ReconstructionFailure
 
 SQUARE = pk.unit_cube(2)
 SEGMENT = pk.hull([(0,), (1,)])
@@ -138,6 +139,105 @@ def test_component_extraction_on_point_class():
     slots = bg.component_extraction_on_sum(pt, 2)
     assert slots[0] == pt
     assert slots[1].is_zero() and slots[2].is_zero()
+
+
+def generic_components(s, degree):
+    """Reference: the generic extractor run over the group of formal sums."""
+    handle = FunctionHandle(lambda t: bg.dilate_class(s, t), QQ_NONNEG, bg.formal_sum_group())
+    probes = [F(0), F(1), F(2), F(1, 2)]
+    expansion = extract_components(handle, degree, probes=probes, check_additivity=False)
+    return [expansion.constant] + [comp.at_ones for comp in expansion.components]
+
+
+def _random_body(rng, n):
+    return pk.hull([
+        tuple(F(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n))
+        for _ in range(rng.randint(1, n + 2))
+    ])
+
+
+def _top_dim(s):
+    return max((pk.dim(poly) for poly, _ in s.terms), default=0)
+
+
+def test_component_table_matches_generic_extractor():
+    rng = random.Random(71)
+    compared = refused = 0
+    for n in (1, 2, 3):
+        point = bg.class_of(pk.origin_polytope(n))
+        sums = [bg.FormalSum.zero(), point, -2 * point]
+        for _ in range(8):
+            P, Q = _random_body(rng, n), _random_body(rng, n)
+            sums.append(bg.class_of(P))
+            sums.append(
+                rng.choice((-3, -1, 2)) * bg.class_of(P)
+                + rng.choice((-2, 1, 3)) * bg.class_of(Q)
+                + rng.randint(-2, 2) * point
+            )
+        for s in sums:
+            for degree in range(5):
+                if degree >= _top_dim(s):
+                    got = bg.component_extraction_on_sum(s, degree)
+                    assert [str(c) for c in got] == [str(c) for c in generic_components(s, degree)]
+                    compared += 1
+                    continue
+                if degree == 0:
+                    with pytest.raises(ReconstructionFailure):
+                        generic_components(s, degree)
+                # below the dimension the generic extractor still rebuilds the
+                # probes (each component is a difference of the last residual)
+                with pytest.raises(ReconstructionFailure):
+                    bg.component_extraction_on_sum(s, degree)
+                refused += 1
+    assert compared > 150 and refused > 30
+
+
+def test_component_table_rows():
+    # closed forms: e_1 = [X] - [pt] in degree 1, and in degree 2
+    # e_1 = -[X] + 4[X/2] - 3[pt], e_2 = 2[X] - 4[X/2] + 2[pt]
+    assert bg.component_table(1)[0] == (((F(0), 1),), ((F(0), -1), (F(1), 1)))
+    assert bg.component_table(2)[0] == (
+        ((F(0), 1),),
+        ((F(0), -3), (F(1, 2), 4), (F(1), -1)),
+        ((F(0), 2), (F(1, 2), -4), (F(1), 2)),
+    )
+    for degree in range(6):
+        rows, probe_rows = bg.component_table(degree)
+        assert len(rows) == degree + 1 and rows[0] == ((F(0), 1),)
+        total = {}
+        for row in rows:
+            for t, coef in row:
+                total[t] = total.get(t, 0) + coef
+        # sum e_i[X] = [X], where degree 0 only serves points: [0X] = [X]
+        assert {t: c for t, c in total.items() if c} == {F(1 if degree else 0): 1}
+        for a, row in probe_rows:
+            assert row == (((a, 1),) if degree else ((F(0), 1),))
+
+
+def test_component_extraction_dilates_once_per_factor(monkeypatch):
+    calls = []
+    real = bg.dilate_class
+    monkeypatch.setattr(bg, "dilate_class", lambda s, t: calls.append(t) or real(s, t))
+    bg.mcmullen_components(pk.unit_cube(3))
+    rows, probe_rows = bg.component_table(3)
+    factors = {t for row in rows for t, _ in row} | {a for a, _ in probe_rows}
+    assert sorted(calls) == sorted(factors)
+
+
+def test_degree_below_dimension_raises():
+    cube = pk.unit_cube(3)
+    # the generic extractor returns an e_1 of volume -1/2 at degree 2
+    wrong = generic_components(bg.class_of(cube), 2)[1]
+    assert vv.evaluate_sum(vv.volume_valuation(), wrong) == F(-1, 2)
+    for degree in (0, 1, 2):
+        with pytest.raises(ReconstructionFailure):
+            bg.mcmullen_components(cube, degree)
+    with pytest.raises(ReconstructionFailure):
+        bg.mcmullen_components(SQUARE, 1)
+    with pytest.raises(ReconstructionFailure):
+        bg.component_extraction_on_sum(bg.class_of(pk.hull([(0, 0), (1, 1)])) - bg.class_of(SQUARE), 1)
+    assert len(bg.mcmullen_components(cube, 3)) == 4
+    assert len(bg.component_extraction_on_sum(bg.class_of(pk.hull([(0, 0), (1, 1)])), 1)) == 2
 
 
 def test_panel_signature_values():

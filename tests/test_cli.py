@@ -1,6 +1,7 @@
 """CLI: parsing, reports, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +192,13 @@ def test_exit_code_ehrhart_negative_lambda(square_file, capsys):
 @pytest.mark.parametrize("command", ["expand", "components", "ehrhart"])
 def test_exit_code_negative_degree(command, square_file, capsys):
     _assert_usage_error([command, "--input", square_file, "--degree", "-1"], capsys)
+
+
+@pytest.mark.parametrize("body, degree", [("square", "1"), ("square", "0"), ("cube", "2")])
+def test_exit_code_components_degree_below_dimension(body, degree, tmp_path, capsys):
+    path = tmp_path / f"{body}.json"
+    path.write_text(json.dumps(pk.polytope_to_obj(pk.unit_cube(2 if body == "square" else 3))))
+    _assert_usage_error(["components", "--input", str(path), "--degree", degree], capsys)
 
 
 @pytest.mark.parametrize(
@@ -397,3 +405,26 @@ def test_readme_examples_golden(argv, code, stdout, tmp_path, monkeypatch, capsy
     monkeypatch.chdir(tmp_path)
     assert run(argv) == code
     assert capsys.readouterr().out == stdout
+
+
+# stdout of `components --format json`, recorded before the components came
+# from the per-degree coefficient table
+COMPONENTS_GOLDEN = {
+    "tet.json": {"dim": 3, "vertices": [["0", "0", "0"], ["1", "0", "0"], ["0", "2", "0"], ["1/2", "1/3", "1"]]},
+    "p.json": GOLDEN_FILES["p.json"],
+    "pt.json": {"dim": 2, "vertices": [["3", "-1/2"]]},
+}
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["--input", "tet.json"], "components-tet.json"),
+    (["--input", "p.json", "--degree", "3"], "components-p-degree3.json"),
+    (["--input", "pt.json"], "components-point.json"),
+])
+def test_components_json_golden(argv, golden, tmp_path, monkeypatch, capsys):
+    expected = (Path(__file__).parent / "golden" / golden).read_text()
+    for name, obj in COMPONENTS_GOLDEN.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    monkeypatch.chdir(tmp_path)
+    assert run(["components", "--format", "json", *argv]) == 0
+    assert capsys.readouterr().out == expected

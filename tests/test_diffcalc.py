@@ -5,6 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from convexval import polytope as pk
+from convexval import valuations as vv
 from convexval.diffcalc import (
     NATURALS,
     QQ,
@@ -20,6 +22,7 @@ from convexval.diffcalc import (
     verify_vanishing,
 )
 from convexval.errors import DivisionUnsupported, ReconstructionFailure
+from convexval.verify_suite import _fit_polynomial, random_polytope
 
 
 def delta_oracle(fn, us, base):
@@ -210,3 +213,30 @@ def test_reconstruction_at_twenty_points_per_case():
         for _ in range(20):
             a = F(rng.randint(0, 12), rng.choice((1, 2, 3, 4)))
             assert expansion.value(a) == fn(a)
+
+
+def test_extraction_matches_vandermonde_fit():
+    rng = random.Random(53)
+    cases = []
+    for degree in range(1, 6):
+        for _ in range(4):
+            coeffs = [F(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7))) for _ in range(degree + 1)]
+            cases.append((poly(coeffs), degree, coeffs))
+    for n in (1, 2, 3):
+        for _ in range(3):
+            P, Q = random_polytope(rng, n), random_polytope(rng, n)
+            for probe in (vv.volume_valuation(), vv.probe_volume(Q)):
+                fn = lambda t, P=P, val=probe: vv.evaluate(val, pk.dilate(P, t))
+                cases.append((fn, n, None))
+    for fn, degree, coeffs in cases:
+        # one node more than the degree: the fit's top coefficient is 0, and
+        # up to degree 3 the extraction bound is one too high as well
+        bound = degree + 1 if degree <= 3 else degree
+        for domain, step in ((QQ_NONNEG, F(1, 2)), (NATURALS, 1)):
+            nodes = [k * step for k in range(degree + 2)]
+            fitted = list(_fit_polynomial([(F(x), fn(x)) for x in nodes]))
+            assert fitted[-1] == 0
+            extracted = extract_components(FunctionHandle(fn, domain, QQ), bound).scalar_coefficients()
+            assert extracted == fitted[:bound + 1]
+            if coeffs is not None:
+                assert extracted[:degree + 1] == coeffs
