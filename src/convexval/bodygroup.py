@@ -407,5 +407,7 @@ def sum_from_obj(obj) -> FormalSum:
         if not isinstance(coef, int) or isinstance(coef, bool):
             raise ParseError(f"term {i}: coefficient must be an integer")
         poly = class_rep(pk.polytope_from_obj(item["polytope"]))
+        if acc and poly.ambient_dim != next(iter(acc)).ambient_dim:
+            raise ParseError(f"term {i}: dimension {poly.ambient_dim} differs from term 0")
         acc[poly] = acc.get(poly, 0) + coef
     return _from_dict(acc)

@@ -311,13 +311,11 @@ def _cmd_compare(args) -> tuple[int, dict]:
         raise ParseError("compare needs --input s1.json --input s2.json")
     s1 = parse_formal_sum(args.input[0])
     s2 = parse_formal_sum(args.input[1])
-    ambient = None
-    for s in (s1, s2):
-        for poly, _ in s.terms:
-            ambient = poly.ambient_dim if ambient is None else ambient
-    if ambient is None:
-        ambient = 1
-    panel = _parse_panel(args.panel, ambient)
+    # the zero sum has no terms, so it compares with a sum of any dimension
+    dims = sorted({poly.ambient_dim for s in (s1, s2) for poly, _ in s.terms})
+    if len(dims) > 1:
+        raise ParseError(f"compare needs sums of one dimension, got {dims[0]} and {dims[1]}")
+    panel = _parse_panel(args.panel, dims[0] if dims else 1)
     cmp = bg.panel_compare(s1, s2, panel)
     report = {
         "command": "compare",

@@ -13,6 +13,7 @@ and axis-aligned boxes get closed forms in any dimension.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -55,9 +56,10 @@ class Polytope:
 
     Instances are produced by `hull` (or by the trusted constructors below,
     which are used when the input is known to consist of extreme points).
-    Two polytopes are equal iff they are the same set of points. Data
-    derived from the vertices is computed on first use and kept on the
-    instance.
+    Two polytopes are equal iff they are the same set of points, which is
+    decided on their integer forms. Data derived from the vertices is
+    computed on first use and kept on the instance; a positive homothet
+    reads it from its root, the body it was mapped from, while that lives.
     """
 
     ambient_dim: int
@@ -73,8 +75,20 @@ class Polytope:
         pts = "; ".join("(" + ",".join(rat_str(c) for c in v) + ")" for v in self.vertices)
         return f"Polytope[{pts}]"
 
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Polytope):
+            return NotImplemented
+        # the reduced integer form is unique, so it compares like the vertices
+        return self.ambient_dim == other.ambient_dim and self._ints == other._ints
+
     def __hash__(self):
         return self._hash
+
+    def __getstate__(self):
+        # weak references do not pickle: the copy is its own root
+        return {k: v for k, v in vars(self).items() if k not in ("_of", "_sums")}
 
     @cached_property
     def _hash(self):
@@ -86,10 +100,31 @@ class Polytope:
         """The vertices scaled to integers: (ints, scale)."""
         return geom.integerize(self.vertices)
 
+    def _root(self):
+        """The body this one is a positive homothet of, while it lives; else self."""
+        ref, _ = vars(self).get("_of", (None, None))
+        root = ref() if ref is not None else None
+        return self if root is None else root
+
     @cached_property
     def _facets(self):
-        """Outward planes and vertex-index cycles of a full-dimensional 3D body."""
+        """Outward planes and vertex-index cycles of a full-dimensional body
+        in R^2 (each cycle an edge) or R^3."""
         ints, scale = self._ints
+        root = self._root()
+        # a homothet also keeps the facets its root had when it was made, so
+        # a translate of a sum that is then dropped needs no hull
+        known = root._facets if root is not self else vars(self).get("_of", (None, None))[1]
+        if known is not None:
+            return _refit(known, ints, scale)
+        if self.ambient_dim == 2:
+            cycle = geom.hull_2d(ints)
+            edges = tuple(zip(cycle, cycle[1:] + cycle[:1]))
+            # outward for a CCW cycle
+            normals = [geom.primitive((ints[j][1] - ints[i][1], ints[i][0] - ints[j][0]))
+                       for i, j in edges]
+            return tuple((normal, Fraction(geom.dot(normal, ints[i]), scale))
+                         for normal, (i, _) in zip(normals, edges)), edges
         facets, _ = geom.hull_3d(ints)
         return _facet_table(facets, scale, range(len(ints)))
 
@@ -99,22 +134,16 @@ class Polytope:
         n = self.ambient_dim
         if n == 1:
             return (((-1,), -self.vertices[0][0]), ((1,), self.vertices[-1][0]))
-        if n == 2:
-            ints, scale = self._ints
-            cycle = [ints[i] for i in geom.hull_2d(ints)]
-            out = []
-            for p, q in zip(cycle, cycle[1:] + cycle[:1]):
-                d = geom.sub(q, p)
-                normal = geom.primitive((d[1], -d[0]))  # outward for a CCW cycle
-                out.append((normal, Fraction(geom.dot(normal, p), scale)))
-            return tuple(out)
-        if n == 3:
+        if n in (2, 3):
             return self._facets[0]
         raise UnsupportedDimension(f"halfspaces in dimension {n}")
 
     @cached_property
     def _span(self):
         """Indices into vertices[1:] of a basis of differences from vertex 0."""
+        root = self._root()
+        if root is not self:
+            return root._span
         ints, _ = self._ints
         return tuple(_linalg.independent_rows([geom.sub(v, ints[0]) for v in ints[1:]]))
 
@@ -181,15 +210,22 @@ def _hull_ints(n, ints, scale) -> Polytope:
             keep = sorted(geom.hull_2d(coords))
         else:
             facets, keep = geom.hull_3d(coords)
-    g = gcd(scale, *itertools.chain.from_iterable(uniq[i] for i in keep))
-    kept, den = [tuple(c // g for c in uniq[i]) for i in keep], scale // g
+    result = _from_ints(n, [uniq[i] for i in keep], scale)
+    if facets is not None and n == 3:
+        # ``keep`` is sorted, so vertex j of the result is point keep[j]
+        vars(result)["_facets"] = _facet_table(facets, scale, {i: j for j, i in enumerate(keep)})
+    return result
+
+
+def _from_ints(n, pts, scale) -> Polytope:
+    """The body whose vertices are the sorted distinct points pts[i] / scale,
+    handed its integer form (reduced by the gcd)."""
+    g = gcd(scale, *itertools.chain.from_iterable(pts))
+    kept, den = [tuple(c // g for c in p) for p in pts], scale // g
     # one Fraction per distinct coordinate, shared by the vertices to save memory
     value = {c: Fraction(c, den) for c in set(itertools.chain.from_iterable(kept))}
     result = Polytope(n, tuple(tuple(value[c] for c in p) for p in kept))
     vars(result)["_ints"] = (kept, den)
-    if facets is not None and n == 3:
-        # ``keep`` is sorted, so vertex j of the result is point keep[j]
-        vars(result)["_facets"] = _facet_table(facets, scale, {i: j for j, i in enumerate(keep)})
     return result
 
 
@@ -202,6 +238,14 @@ def _facet_table(facets, scale, vertex_of):
     planes = tuple((n, Fraction(c, scale)) for n, c in facets)
     cycles = tuple(tuple(vertex_of[i] for i in cyc) for cyc in facets.values())
     return planes, cycles
+
+
+def _refit(facets, ints, scale):
+    """The same normals and cycles on the body ints / scale: each plane moves
+    to the first vertex of its cycle."""
+    planes, cycles = facets
+    return tuple((normal, Fraction(geom.dot(normal, ints[cyc[0]]), scale))
+                 for (normal, _), cyc in zip(planes, cycles)), cycles
 
 
 def _box_corners(pts):
@@ -236,6 +280,23 @@ def origin_polytope(n: int) -> Polytope:
     return Polytope(n, ((Fraction(0),) * n,))
 
 
+def _homothet(P: Polytope, t: Fraction, s) -> Polytope:
+    """t * P + s for t > 0, on the integer form.
+
+    The map keeps the vertex order, so the result has P's span, facet
+    normals and cycles; it holds P's root by weak reference to read them,
+    and the root's facets if it had them already.
+    """
+    ints, scale = P._ints
+    (sv,), ds = geom.integerize([s])
+    a, b = t.numerator * ds, t.denominator * scale
+    H = _from_ints(P.ambient_dim, [tuple(a * c + b * w for c, w in zip(p, sv)) for p in ints],
+                   b * ds)
+    root = P._root()
+    vars(H)["_of"] = weakref.ref(root), vars(root).get("_facets")
+    return H
+
+
 def dilate(P: Polytope, factor) -> Polytope:
     """Scale about the origin; factor 0 collapses to the origin point."""
     lam = rat(factor)
@@ -245,26 +306,54 @@ def dilate(P: Polytope, factor) -> Polytope:
         return origin_polytope(P.ambient_dim)
     if lam == 1:
         return P
-    return _trusted(P.ambient_dim, (tuple(lam * c for c in v) for v in P.vertices))
+    return _homothet(P, lam, (0,) * P.ambient_dim)
 
 
 def translate(P: Polytope, t) -> Polytope:
     tv = point(t)
     if len(tv) != P.ambient_dim:
         raise DimensionMismatch("translation vector has wrong length")
-    return _trusted(
-        P.ambient_dim, (tuple(a + b for a, b in zip(v, tv)) for v in P.vertices)
-    )
+    return _homothet(P, Fraction(1), tv)
 
 
 def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
+    """P + Q. Positive homothets of two bodies have sums of one combinatorial
+    type (the normal fan of a sum refines the summands' fans), so the first
+    sum of a homothet of P's root with one of Q's root is a hull, and its
+    vertices as vertex-index pairs, facet normals and cycles are kept on P's
+    root for the others.
+    """
     if P.ambient_dim != Q.ambient_dim:
         raise DimensionMismatch("Minkowski sum of different ambient dimensions")
     # both integer forms over the common scale lcm(ps, qs) = a * ps = b * qs
     (pi, ps), (qi, qs) = P._ints, Q._ints
     a, b = lcm(ps, qs) // ps, lcm(ps, qs) // qs
-    sums = {tuple(a * x + b * y for x, y in zip(p, q)) for p in pi for q in qi}
-    return _hull_ints(P.ambient_dim, sums, a * ps)
+    root, key = P._root(), Q._root()
+    table = vars(root).get("_sums", {}).get(key)
+    if table is None:
+        # each vertex of the sum is the sum of exactly one pair of vertices
+        pair_of = {tuple(a * x + b * y for x, y in zip(p, q)): (i, j)
+                   for i, p in enumerate(pi) for j, q in enumerate(qi)}
+        result = _hull_ints(P.ambient_dim, pair_of, a * ps)
+        # only a homothet starts a table: a body summed only as itself seldom
+        # meets the pair again, and a table on every body costs memory
+        if root is not P:
+            ints, den = result._ints
+            pairs = [pair_of[tuple(a * ps // den * c for c in v)] for v in ints]
+            tables = vars(root).setdefault("_sums", weakref.WeakKeyDictionary())
+            tables[key] = pairs, vars(result).get("_facets")
+        return result
+    pairs, facets = table
+    pts = [tuple(a * x + b * y for x, y in zip(pi[i], qi[j])) for i, j in pairs]
+    order = sorted(range(len(pts)), key=pts.__getitem__)
+    result = _from_ints(P.ambient_dim, [pts[k] for k in order], a * ps)
+    if facets is not None:
+        # the table's vertex k is vertex where[k] of the result
+        planes, cycles = facets
+        where = {k: r for r, k in enumerate(order)}
+        cycles = tuple(tuple(where[k] for k in cyc) for cyc in cycles)
+        vars(result)["_facets"] = _refit((planes, cycles), *result._ints)
+    return result
 
 
 @dataclass(frozen=True)

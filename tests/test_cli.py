@@ -216,6 +216,44 @@ def test_exit_code_json_boolean_as_number(command, payload, tmp_path, capsys):
     _assert_usage_error([command, *inputs], capsys)
 
 
+SEGMENT_SUM = [{"coef": 1, "polytope": {"dim": 1, "vertices": [["0"], ["1"]]}}]
+SQUARE_SUM = [{"coef": 1, "polytope": pk.polytope_to_obj(pk.unit_cube(2))}]
+CUBE_SUM = [{"coef": 2, "polytope": pk.polytope_to_obj(pk.unit_cube(3))}]
+
+
+@pytest.mark.parametrize(
+    "left, right, panel",
+    [
+        (SEGMENT_SUM, SQUARE_SUM, ["--panel", "volume,euler"]),
+        (SQUARE_SUM, SEGMENT_SUM, []),
+        (CUBE_SUM, SQUARE_SUM, ["--panel", "euler"]),
+        (SEGMENT_SUM + SQUARE_SUM, SEGMENT_SUM, ["--panel", "volume,euler"]),
+        # the square terms cancel, but a sum may not mix dimensions at all
+        (SEGMENT_SUM + SQUARE_SUM + [{"coef": -1, "polytope": SQUARE_SUM[0]["polytope"]}],
+         SEGMENT_SUM, []),
+        (SEGMENT_SUM, CUBE_SUM + [{"coef": -1, "polytope": SEGMENT_SUM[0]["polytope"]}], []),
+    ],
+)
+def test_exit_code_compare_across_dimensions(left, right, panel, tmp_path, capsys):
+    paths = []
+    for name, obj in (("left", left), ("right", right)):
+        paths += ["--input", str(tmp_path / f"{name}.json")]
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    _assert_usage_error(["compare", *paths, *panel], capsys)
+
+
+@pytest.mark.parametrize("other, code", [([], 0), (SEGMENT_SUM, 1), (SQUARE_SUM, 1), (CUBE_SUM, 1)])
+def test_compare_zero_sum_with_any_dimension(other, code, tmp_path, capsys):
+    zero, path = tmp_path / "zero.json", tmp_path / "other.json"
+    zero.write_text("[]")
+    path.write_text(json.dumps(other))
+    for argv in (["--input", str(zero), "--input", str(path)],
+                 ["--input", str(path), "--input", str(zero)]):
+        assert run(["compare", *argv]) == code
+        out, err = capsys.readouterr()
+        assert err == "" and "result = " in out
+
+
 def test_verify_stats_times_each_suite_on_stderr_only(monkeypatch, capsys):
     def stub(name, ok):
         def suite(seed):
