@@ -27,16 +27,21 @@ def parse_polytope(path: str) -> pk.Polytope:
     return P
 
 
-def parse_polytope_with_notices(path: str):
+def _load_json(path: str):
+    """The JSON value in a file; an unreadable file or bad JSON is a ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+
+
+def parse_polytope_with_notices(path: str):
+    obj = _load_json(path)
     try:
         P = pk.polytope_from_obj(obj)
     except ParseError as exc:
@@ -49,13 +54,7 @@ def parse_polytope_with_notices(path: str):
 
 
 def parse_formal_sum(path: str) -> bg.FormalSum:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    obj = _load_json(path)
     try:
         return bg.sum_from_obj(obj)
     except ParseError as exc:
@@ -128,7 +127,10 @@ def _parse_valuation(token: str, ambient: int) -> vv.ValuationDescriptor:
 def _parse_panel(tokens: str | None, ambient: int):
     if tokens is None:
         return vv.default_panel(ambient)
-    return tuple(_parse_valuation(tok, ambient) for tok in tokens.split(",") if tok.strip())
+    panel = tuple(_parse_valuation(tok, ambient) for tok in tokens.split(",") if tok.strip())
+    if not panel:
+        raise ParseError(f"--panel names no valuation: {tokens!r}")
+    return panel
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +157,6 @@ def _emit(report: dict, fmt: str) -> str:
     for key, value in report.items():
         walk(str(key), value)
     return "\n".join(lines) + "\n"
-
-
-def _fmt_sum(s: bg.FormalSum) -> str:
-    return str(s)
 
 
 def _signature_obj(sig: bg.PanelSignature):
@@ -209,7 +207,7 @@ def _cmd_components(args) -> tuple[int, dict]:
         "dimension": pk.dim(P),
         "components": {
             f"e_{i}": {
-                "sum": _fmt_sum(c),
+                "sum": str(c),
                 "signature": _signature_obj(bg.panel_signature(c, panel)),
             }
             for i, c in enumerate(comps)

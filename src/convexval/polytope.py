@@ -102,7 +102,7 @@ class Polytope:
 
     def _root(self):
         """The body this one is a positive homothet of, while it lives; else self."""
-        ref, _ = vars(self).get("_of", (None, None))
+        ref = vars(self).get("_of")
         root = ref() if ref is not None else None
         return self if root is None else root
 
@@ -112,11 +112,8 @@ class Polytope:
         in R^2 (each cycle an edge) or R^3."""
         ints, scale = self._ints
         root = self._root()
-        # a homothet also keeps the facets its root had when it was made, so
-        # a translate of a sum that is then dropped needs no hull
-        known = root._facets if root is not self else vars(self).get("_of", (None, None))[1]
-        if known is not None:
-            return _refit(known, ints, scale)
+        if root is not self:
+            return _refit(root._facets, ints, scale)
         if self.ambient_dim == 2:
             cycle = geom.hull_2d(ints)
             edges = tuple(zip(cycle, cycle[1:] + cycle[:1]))
@@ -284,16 +281,14 @@ def _homothet(P: Polytope, t: Fraction, s) -> Polytope:
     """t * P + s for t > 0, on the integer form.
 
     The map keeps the vertex order, so the result has P's span, facet
-    normals and cycles; it holds P's root by weak reference to read them,
-    and the root's facets if it had them already.
+    normals and cycles; it holds P's root by weak reference to read them.
     """
     ints, scale = P._ints
     (sv,), ds = geom.integerize([s])
     a, b = t.numerator * ds, t.denominator * scale
     H = _from_ints(P.ambient_dim, [tuple(a * c + b * w for c, w in zip(p, sv)) for p in ints],
                    b * ds)
-    root = P._root()
-    vars(H)["_of"] = weakref.ref(root), vars(root).get("_facets")
+    vars(H)["_of"] = weakref.ref(P._root())
     return H
 
 
@@ -375,6 +370,21 @@ class SimplexBasis:
     def _solve(self):
         return _linalg.solver(list(self.vectors))
 
+    @cached_property
+    def _pieces(self):
+        """`decomposition_pieces` by (a, b), built once per pair."""
+        return {}
+
+    @cached_property
+    def _partial_simplices(self):
+        """(S(0..i), S(i..d)) for i = 0..d, where S(i..j) = conv(p_i, ..., p_j)
+        over the partial sums p. They live as long as the basis, so the sums
+        of their dilates map from one table per pair after the first (a, b)."""
+        sums = _partial_sums(self)
+        n = self.ambient_dim
+        return tuple((_trusted(n, sums[:i + 1]), _trusted(n, sums[i:]))
+                     for i in range(len(sums)))
+
     @property
     def ambient_dim(self):
         return len(self.vectors[0])
@@ -403,34 +413,6 @@ def simplex_from_basis(basis: SimplexBasis) -> Polytope:
     return _trusted(basis.ambient_dim, _partial_sums(basis))
 
 
-def staircase_pieces(basis: SimplexBasis, a: Fraction, b: Fraction):
-    """The pieces of the (a+b)-dilate of the staircase simplex, i = 0..d.
-
-    With S(...) the staircase simplex over the listed basis vectors, yields
-    (shift, cell, seam) where shift = b*(v1+...+vi), cell = a*S(v1..vi) +
-    b*S(vi+1..vd) and seam = a*S(v1..vi-1) + b*S(vi+1..vd), or None for
-    i = 0. Cell and seam are Minkowski sums left unshifted: translation
-    classes and translation-invariant valuations do not need the shift.
-    A negative factor raises NegativeFactor.
-    """
-    n = basis.ambient_dim
-    sums = _partial_sums(basis)
-
-    def partial(lo, hi, factor):
-        base = sums[lo]
-        verts = (tuple(p - q for p, q in zip(sums[j], base)) for j in range(lo, hi + 1))
-        return dilate(_trusted(n, verts), factor)
-
-    d = basis.count
-    head_prev = None
-    for i in range(d + 1):
-        head = partial(0, i, a)
-        tail = partial(i, d, b)
-        seam = None if head_prev is None else minkowski_sum(head_prev, tail)
-        yield tuple(b * c for c in sums[i]), minkowski_sum(head, tail), seam
-        head_prev = head
-
-
 @dataclass(frozen=True)
 class DecompositionPieces:
     """Pieces tiling the (a+b)-dilated staircase simplex.
@@ -447,23 +429,29 @@ class DecompositionPieces:
 
 
 def decomposition_pieces(basis: SimplexBasis, a, b) -> DecompositionPieces:
+    """The pieces of the (a+b)-dilate of the staircase simplex, kept on the basis.
+
+    With p_i the partial sums and S(i..j) = conv(p_i, ..., p_j), cell i is
+    a*S(0..i) + b*S(i..d) for i = 0..d and seam i is a*S(0..i-1) + b*S(i..d)
+    for i = 1..d. A factor that is not positive raises NonpositiveScale.
+    """
     av, bv = rat(a), rat(b)
     if av <= 0 or bv <= 0:
         raise NonpositiveScale("decomposition needs a > 0 and b > 0")
+    pieces = basis._pieces.get((av, bv))
+    if pieces is not None:
+        return pieces
     d = basis.count
-    cells = []
-    seams = []
-    for shift, cell, seam in staircase_pieces(basis, av, bv):
-        if seam is not None:
-            seam = translate(seam, shift)
-            if dim(seam) > d - 1:
-                raise InvariantViolation("seam piece has unexpected dimension")
-            seams.append(seam)
-        cell = translate(cell, shift)
-        if dim(cell) != d:
-            raise InvariantViolation("cell piece has unexpected dimension")
-        cells.append(cell)
-    return DecompositionPieces(av, bv, tuple(cells), tuple(seams))
+    heads = [dilate(head, av) for head, _ in basis._partial_simplices]
+    tails = [dilate(tail, bv) for _, tail in basis._partial_simplices]
+    cells = tuple(minkowski_sum(h, t) for h, t in zip(heads, tails))
+    seams = tuple(minkowski_sum(h, t) for h, t in zip(heads, tails[1:]))
+    if any(dim(c) != d for c in cells):
+        raise InvariantViolation("cell piece has unexpected dimension")
+    if any(dim(s) > d - 1 for s in seams):
+        raise InvariantViolation("seam piece has unexpected dimension")
+    pieces = basis._pieces[(av, bv)] = DecompositionPieces(av, bv, cells, seams)
+    return pieces
 
 
 def simplex_coordinates(basis: SimplexBasis, x: Point):

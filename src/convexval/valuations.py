@@ -50,10 +50,6 @@ class ValuationDescriptor:
         return self.kind in (VOLUME, EULER, PROBE_VOLUME)
 
     @property
-    def integer_translation_invariant(self) -> bool:
-        return self.kind != SUPPORT
-
-    @property
     def dilation_domain(self) -> str:
         return "naturals" if self.kind == LATTICE else "nonnegative_rationals"
 

@@ -183,13 +183,10 @@ AB_PAIRS = (
 
 
 def _valuation_identity_sides(val, basis, a, b):
+    pieces = pk.decomposition_pieces(basis, a, b)
     lhs = vv.evaluate(val, pk.dilate(pk.simplex_from_basis(basis), a + b))
-    rhs = Fraction(0)
-    for _, cell, seam in pk.staircase_pieces(basis, a, b):
-        rhs += vv.evaluate(val, cell)
-        if seam is not None:
-            rhs -= vv.evaluate(val, seam)
-    return lhs, rhs
+    rhs = sum((vv.evaluate(val, cell) for cell in pieces.cells), Fraction(0))
+    return lhs, rhs - sum((vv.evaluate(val, seam) for seam in pieces.seams), Fraction(0))
 
 
 def simplex_decomposition(seed: int, bases_per_dim: int = 25) -> SuiteResult:

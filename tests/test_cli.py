@@ -242,6 +242,23 @@ def test_exit_code_compare_across_dimensions(left, right, panel, tmp_path, capsy
     _assert_usage_error(["compare", *paths, *panel], capsys)
 
 
+@pytest.mark.parametrize("panel", ["", ",", " ", " , "])
+@pytest.mark.parametrize("command", ["compare", "components"])
+def test_exit_code_panel_naming_no_valuation(command, panel, tmp_path, capsys):
+    # sums of volumes 1/2 and 15/2, which an empty panel would call equal
+    triangle = {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}
+    rectangle = {"dim": 2, "vertices": [["0", "0"], ["5", "0"], ["0", "3/2"], ["5", "3/2"]]}
+    if command == "compare":
+        paths = []
+        for name, body in (("left", triangle), ("right", rectangle)):
+            (tmp_path / f"{name}.json").write_text(json.dumps([{"coef": 1, "polytope": body}]))
+            paths += ["--input", str(tmp_path / f"{name}.json")]
+    else:
+        (tmp_path / "body.json").write_text(json.dumps(triangle))
+        paths = ["--input", str(tmp_path / "body.json")]
+    _assert_usage_error([command, *paths, "--panel", panel], capsys)
+
+
 @pytest.mark.parametrize("other, code", [([], 0), (SEGMENT_SUM, 1), (SQUARE_SUM, 1), (CUBE_SUM, 1)])
 def test_compare_zero_sum_with_any_dimension(other, code, tmp_path, capsys):
     zero, path = tmp_path / "zero.json", tmp_path / "other.json"
@@ -465,4 +482,19 @@ def test_components_json_golden(argv, golden, tmp_path, monkeypatch, capsys):
         (tmp_path / name).write_text(json.dumps(obj))
     monkeypatch.chdir(tmp_path)
     assert run(["components", "--format", "json", *argv]) == 0
+    assert capsys.readouterr().out == expected
+
+
+# stdout of `decompose --format json` at the three (a, b) of the verify suite,
+# recorded before the pieces were built at their final position
+DECOMPOSE_BASES = {1: "3/2", 2: "1,1;-1,2", 3: "1,0,0;1,2,0;0,-1,3"}
+
+
+@pytest.mark.parametrize("a, b", [(str(a), str(b)) for a, b in vs.AB_PAIRS])
+@pytest.mark.parametrize("d", sorted(DECOMPOSE_BASES))
+def test_decompose_json_golden(d, a, b, capsys):
+    golden = f"decompose-d{d}-a{a.replace('/', '_')}-b{b.replace('/', '_')}.json"
+    expected = (Path(__file__).parent / "golden" / golden).read_text()
+    argv = ["decompose", "--format", "json", "--basis", DECOMPOSE_BASES[d], "--a", a, "--b", b]
+    assert run(argv) == 0
     assert capsys.readouterr().out == expected

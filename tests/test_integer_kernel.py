@@ -92,8 +92,12 @@ def test_minkowski_sum_matches_fraction_definition():
     assert lower >= 400 and seams >= 150 and full3 >= 80
 
 
-def test_minkowski_sum_staircase_pieces_match_fraction_definition():
+def test_minkowski_sum_staircase_pieces_match_fraction_definition(monkeypatch):
+    hulls = []
+    real_hull = pk._hull_ints
+    monkeypatch.setattr(pk, "_hull_ints", lambda *args: hulls.append(1) or real_hull(*args))
     rng = random.Random(6007)
+    mapped = 0
     for _ in range(30):
         d = rng.randint(1, 3)
         basis = None
@@ -104,18 +108,38 @@ def test_minkowski_sum_staircase_pieces_match_fraction_definition():
                      for _ in range(d)])
             except DependentBasis:
                 pass
-        a, b = (F(rng.randint(1, 5), rng.randint(1, 4)) for _ in range(2))
         sums = pk._partial_sums(basis)
 
         def partial(lo, hi, factor):
             verts = (tuple(p - q for p, q in zip(sums[j], sums[lo])) for j in range(lo, hi + 1))
             return pk.dilate(pk._trusted(d, verts), factor)
 
-        # cell i = a S(v1..vi) + b S(vi+1..vd); seam i replaces i by i-1 in the head
-        pairs = [(partial(0, i, a), partial(i, d, b)) for i in range(d + 1)]
-        pairs += [(partial(0, i - 1, a), partial(i, d, b)) for i in range(1, d + 1)]
-        for head, tail in pairs:
-            _assert_same_body(pk.minkowski_sum(head, tail), fraction_minkowski_sum(head, tail))
+        def shifted(P, shift):
+            return pk.hull(tuple(c + s for c, s in zip(v, shift)) for v in P.vertices)
+
+        # two (a, b) on one basis: the second maps its sums from the first's tables
+        seen = set()
+        for _ in range(2):
+            a, b = (F(rng.randint(1, 5), rng.randint(1, 4)) for _ in range(2))
+            # the former definition: cell i = a S(v1..vi) + b S(vi+1..vd) and
+            # seam i = a S(v1..vi-1) + b S(vi+1..vd) over relative partial
+            # simplices, moved by b (v1+...+vi)
+            pairs = [(partial(0, i, a), partial(i, d, b)) for i in range(d + 1)]
+            pairs += [(partial(0, i - 1, a), partial(i, d, b)) for i in range(1, d + 1)]
+            for head, tail in pairs:
+                _assert_same_body(pk.minkowski_sum(head, tail), fraction_minkowski_sum(head, tail))
+            shifts = [tuple(b * c for c in p) for p in sums]
+            expected = [shifted(fraction_minkowski_sum(*pair), shift)
+                        for pair, shift in zip(pairs, shifts + shifts[1:])]
+            hulls.clear()
+            pieces = pk.decomposition_pieces(basis, a, b)
+            # every piece of a 3D basis mapped from a table, with no hull
+            mapped += d == 3 and not hulls and (a, b) not in seen
+            seen.add((a, b))
+            assert len(pieces.cells) == d + 1 and len(pieces.seams) == d
+            for S, O in zip(pieces.cells + pieces.seams, expected):
+                _assert_same_body(S, O)
+    assert mapped >= 5
 
 
 def test_minkowski_sum_beyond_three_dimensions():

@@ -14,8 +14,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from convexval import bodygroup as bg
 from convexval import polytope as pk
 from convexval import valuations as vv
+from convexval import verify_suite as vs
 from convexval.errors import (
     DependentBasis,
     DimensionMismatch,
@@ -591,6 +593,30 @@ def test_decomposition_requires_positive_scales():
         pk.decomposition_pieces(basis, 0, 1)
     with pytest.raises(NonpositiveScale):
         pk.decomposition_pieces(basis, 1, "-1/2")
+    # the class identity reads the same pieces, so it refuses the same scales
+    for a, b in ((0, 1), (1, "-1/2"), (-1, "1/2")):
+        with pytest.raises(NonpositiveScale):
+            bg.simplex_identity_as_classes(basis, a, b, (vv.volume_valuation(),))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_decomposition_pieces_built_once_per_basis_and_scales(d, monkeypatch):
+    calls = []
+    real = pk.minkowski_sum
+    monkeypatch.setattr(pk, "minkowski_sum", lambda P, Q: calls.append(1) or real(P, Q))
+    basis = pk.simplex_basis([[F(j + 1, i + 1) if j <= i else 0 for j in range(d)]
+                              for i in range(d)])
+    a, b = F(1, 2), F(3, 2)
+    # volume and Euler take no Minkowski sum of their own
+    panel = (vv.volume_valuation(), vv.euler_valuation())
+    assert pk.verify_decomposition(basis, a, b).ok
+    assert bg.simplex_identity_as_classes(basis, a, b, panel).ok
+    for val in panel:
+        lhs, rhs = vs._valuation_identity_sides(val, basis, a, b)
+        assert lhs == rhs
+    # d + 1 cells and d seams, built by the first reader and kept on the basis
+    assert len(calls) == 2 * d + 1
+    assert pk.decomposition_pieces(basis, "1/2", "3/2") is pk.decomposition_pieces(basis, a, b)
 
 
 def test_verify_decomposition_d1():
