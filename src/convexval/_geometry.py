@@ -94,15 +94,16 @@ def hull_2d(pts):
     return lower[:-1] + upper[:-1]
 
 
-def area2_2d(pts, cycle):
-    """Twice the area of a CCW integer polygon given by point indices."""
-    total = 0
-    o = pts[cycle[0]]
-    for i in range(1, len(cycle) - 1):
-        total += cross2(sub(pts[cycle[i]], o), sub(pts[cycle[i + 1]], o))
-    if total < 0:
-        raise InvariantViolation("polygon cycle is not counter-clockwise")
-    return total
+def facets_2d(pts):
+    """The hull of distinct integer pairs with affine rank 2, shaped like
+    `hull_3d`: each facet is an edge (i, j) of the CCW cycle, keyed by its
+    outward plane (primitive normal, offset)."""
+    cycle = hull_2d(pts)
+    facets = {}
+    for i, j in zip(cycle, cycle[1:] + cycle[:1]):
+        normal = primitive((pts[j][1] - pts[i][1], pts[i][0] - pts[j][0]))
+        facets[normal, dot(normal, pts[i])] = (i, j)
+    return facets, sorted(cycle)
 
 
 # ---------------------------------------------------------------------------

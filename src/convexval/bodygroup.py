@@ -60,13 +60,6 @@ class FormalSum:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, P: pk.Polytope) -> int:
-        rep = class_rep(P)
-        for poly, coef in self.terms:
-            if poly == rep:
-                return coef
-        return 0
-
     def __add__(self, other):
         if not isinstance(other, FormalSum):
             return NotImplemented
@@ -228,7 +221,7 @@ def component_table(degree: int) -> tuple:
     rebuild every dilate, so no reconstruction probe is needed.
     """
     handle = FunctionHandle(lambda t: {t: 1}, QQ_NONNEG, _FACTOR_SUMS)
-    expansion = extract_components(handle, degree, probes=[], check_additivity=False)
+    expansion = extract_components(handle, degree, probes=[])
     values = [expansion.constant] + [comp.at_ones for comp in expansion.components]
     return tuple(tuple(sorted(x.items())) for x in values)
 

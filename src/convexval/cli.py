@@ -28,11 +28,12 @@ def parse_polytope(path: str) -> pk.Polytope:
 
 
 def _load_json(path: str):
-    """The JSON value in a file; an unreadable file or bad JSON is a ParseError."""
+    """The JSON value in a file; an unreadable file, text that is not UTF-8 or
+    bad JSON is a ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
         return json.loads(text)

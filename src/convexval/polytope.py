@@ -108,32 +108,19 @@ class Polytope:
 
     @cached_property
     def _facets(self):
-        """Outward planes and vertex-index cycles of a full-dimensional body
-        in R^2 (each cycle an edge) or R^3."""
+        """(planes, cycles) of a full-dimensional body in R^1..R^3: outward
+        planes n.x <= rhs (integer normal, Fraction rhs) and the vertex-index
+        cycle of each facet, an end point in R^1, a CCW edge in R^2 and a
+        polygon, CCW from outside, in R^3."""
         ints, scale = self._ints
         root = self._root()
         if root is not self:
             return _refit(root._facets, ints, scale)
-        if self.ambient_dim == 2:
-            cycle = geom.hull_2d(ints)
-            edges = tuple(zip(cycle, cycle[1:] + cycle[:1]))
-            # outward for a CCW cycle
-            normals = [geom.primitive((ints[j][1] - ints[i][1], ints[i][0] - ints[j][0]))
-                       for i, j in edges]
-            return tuple((normal, Fraction(geom.dot(normal, ints[i]), scale))
-                         for normal, (i, _) in zip(normals, edges)), edges
-        facets, _ = geom.hull_3d(ints)
+        if self.ambient_dim == 1:
+            facets = {((-1,), -ints[0][0]): (0,), ((1,), ints[-1][0]): (len(ints) - 1,)}
+        else:
+            facets, _ = _HULL_FACETS[self.ambient_dim](ints)
         return _facet_table(facets, scale, range(len(ints)))
-
-    @cached_property
-    def _halfspaces(self):
-        """Inequalities n.x <= rhs (integer normal, Fraction rhs), full-dim body."""
-        n = self.ambient_dim
-        if n == 1:
-            return (((-1,), -self.vertices[0][0]), ((1,), self.vertices[-1][0]))
-        if n in (2, 3):
-            return self._facets[0]
-        raise UnsupportedDimension(f"halfspaces in dimension {n}")
 
     @cached_property
     def _span(self):
@@ -180,9 +167,14 @@ def hull(points) -> Polytope:
     return _hull_ints(n, *geom.integerize(pts))
 
 
+# the facets and sorted vertex indices of integer points of full affine rank
+_HULL_FACETS = {2: geom.facets_2d, 3: geom.hull_3d}
+
+
 def _hull_ints(n, ints, scale) -> Polytope:
     """The hull of the points ints[i] / scale, computed on the integers, which
-    sort like the points; the result is handed its integer form and 3D facets.
+    sort like the points; the result is handed its integer form and, when
+    full-dimensional in R^2 or R^3, the facets found.
     """
     uniq = sorted(set(ints))
     cols = _linalg.pivot_columns([geom.sub(p, uniq[0]) for p in uniq[1:]])
@@ -203,12 +195,9 @@ def _hull_ints(n, ints, scale) -> Polytope:
         # the pivot coordinates map the affine hull one to one, and so keep
         # which points are extreme
         coords = uniq if r == n else [tuple(p[c] for c in sorted(cols)) for p in uniq]
-        if r == 2:
-            keep = sorted(geom.hull_2d(coords))
-        else:
-            facets, keep = geom.hull_3d(coords)
+        facets, keep = _HULL_FACETS[r](coords)
     result = _from_ints(n, [uniq[i] for i in keep], scale)
-    if facets is not None and n == 3:
+    if facets is not None and r == n:
         # ``keep`` is sorted, so vertex j of the result is point keep[j]
         vars(result)["_facets"] = _facet_table(facets, scale, {i: j for j, i in enumerate(keep)})
     return result
@@ -227,7 +216,7 @@ def _from_ints(n, pts, scale) -> Polytope:
 
 
 def _facet_table(facets, scale, vertex_of):
-    """(planes, cycles) from `geom.hull_3d` facets on points scaled by ``scale``.
+    """(planes, cycles) from hull facets on points scaled by ``scale``.
 
     Planes are (integer normal, Fraction offset); each cycle lists vertex
     indices, point i of the hull input becoming vertex ``vertex_of[i]``.
@@ -471,7 +460,8 @@ class DecompositionReport:
       the dilate.
     * seams_match: seam i sits on the coordinate slice x_i = b, inside
       cell i and inside the union of the earlier cells; conversely grid
-      points of that double overlap lie in the seam.
+      points of that slice lie in the seam, and no grid point off it lies
+      in cell i and an earlier cell.
     * seams_lower_dim: every seam has affine dimension < d.
     """
 
@@ -510,7 +500,11 @@ def _sample_points(P: Polytope):
     return samples
 
 
-def verify_decomposition(basis: SimplexBasis, a, b, grid_steps: int = 3) -> DecompositionReport:
+# grid steps per unit of a + b in `verify_decomposition`
+GRID_STEPS = 3
+
+
+def verify_decomposition(basis: SimplexBasis, a, b) -> DecompositionReport:
     """Exactly check that the decomposition pieces tile the dilated simplex."""
     av, bv = rat(a), rat(b)
     pieces = decomposition_pieces(basis, av, bv)
@@ -522,16 +516,14 @@ def verify_decomposition(basis: SimplexBasis, a, b, grid_steps: int = 3) -> Deco
     if not vol_ok:
         failures.append("cell volumes do not sum to the dilate volume")
 
+    def at(coords):
+        """(coords, x) for staircase coordinates t: x = t_1 v_1 + ... + t_d v_d."""
+        return coords, tuple(sum((t * v[j] for t, v in zip(coords, basis.vectors)), Fraction(0))
+                             for j in range(basis.ambient_dim))
+
     # rational grid in staircase coordinates: (a+b) >= t_1 >= ... >= t_d >= 0
-    steps = [Fraction(k, grid_steps) * (av + bv) for k in range(grid_steps + 1)]
-    grid = []
-    for combo in itertools.combinations_with_replacement(reversed(steps), d):
-        coords = tuple(combo)  # non-increasing
-        x = tuple(
-            sum((coords[i] * basis.vectors[i][j] for i in range(d)), Fraction(0))
-            for j in range(basis.ambient_dim)
-        )
-        grid.append((coords, x))
+    steps = [Fraction(k, GRID_STEPS) * (av + bv) for k in range(GRID_STEPS, -1, -1)]
+    grid = [at(c) for c in itertools.combinations_with_replacement(steps, d)]
 
     cover_ok = True
     for coords, x in grid:
@@ -563,15 +555,25 @@ def verify_decomposition(basis: SimplexBasis, a, b, grid_steps: int = 3) -> Deco
                 seams_ok = False
                 failures.append(f"seam {i} sample outside the adjacent cells")
                 break
-        for coords, x in grid:
-            in_prefix = any(contains(pieces.cells[j], x) for j in range(i))
-            if in_prefix and contains(pieces.cells[i], x):
-                if coords[i - 1] != bv or not contains(seam, x):
-                    seams_ok = False
-                    failures.append(
-                        f"overlap point {x} of cells 0..{i} missing from seam {i}"
-                    )
-                    break
+        # the grid steps seldom land on the slice t_i = b, where cell i meets
+        # the earlier cells, so its points (earlier coordinates at least b,
+        # later ones at most b) are added: each must lie in the seam, and no
+        # grid point off the slice may lie in cell i and an earlier cell
+        above = [s for s in steps if s >= bv]
+        below = [s for s in steps if s <= bv]
+        on_slice = [at(head + (bv,) + tail)
+                    for head in itertools.combinations_with_replacement(above, i - 1)
+                    for tail in itertools.combinations_with_replacement(below, d - i)]
+        for coords, x in grid + on_slice:
+            if coords[i - 1] == bv:
+                missing = not contains(seam, x)
+            else:
+                missing = contains(pieces.cells[i], x) and any(
+                    contains(pieces.cells[j], x) for j in range(i))
+            if missing:
+                seams_ok = False
+                failures.append(f"overlap point {x} of cells 0..{i} missing from seam {i}")
+                break
 
     lower_ok = all(dim(s) < d for s in pieces.seams)
     if not lower_ok:
@@ -616,7 +618,7 @@ def contains(P: Polytope, x) -> bool:
         (X,), den = geom.integerize([xv])
         return all(
             geom.dot(normal, X) * rhs.denominator <= rhs.numerator * den
-            for normal, rhs in P._halfspaces
+            for normal, rhs in P._facets[0]
         )
     origin, solve, reduced = P._frame
     coords = solve(geom.sub(xv, origin))
@@ -640,24 +642,24 @@ def volume(P: Polytope) -> Fraction:
     if _box_corners(ints) is not None:
         lo, hi = P.vertices[0], P.vertices[-1]
         return prod((h - l for l, h in zip(lo, hi)), start=Fraction(1))
-    if n == 2:
-        cycle = geom.hull_2d(ints)
-        return Fraction(geom.area2_2d(ints, cycle), 2) / (scale * scale)
-    if n == 3:
-        # six times the signed volumes of the tetrahedra joining vertex o to
-        # a fan triangulation of each facet
-        _, cycles = P._facets
-        o = ints[cycles[0][0]]
-        rel = [geom.sub(p, o) for p in ints]
-        total = 0
-        for cycle in cycles:
-            a = rel[cycle[0]]
+    if n > 3:
+        raise UnsupportedDimension(f"volume of a general body in dimension {n}")
+    # n! times the signed volumes of the simplices joining vertex o to each
+    # edge (R^2) or to a fan triangulation of each facet polygon (R^3)
+    _, cycles = P._facets
+    o = ints[cycles[0][0]]
+    rel = [geom.sub(p, o) for p in ints]
+    total = 0
+    for cycle in cycles:
+        a = rel[cycle[0]]
+        if n == 2:
+            total += geom.cross2(a, rel[cycle[1]])
+        else:
             for b, c in zip(cycle[1:-1], cycle[2:]):
                 total += geom.dot(a, geom.cross3(rel[b], rel[c]))
-        if total < 0:
-            raise InvariantViolation("negative volume from facet cycles")
-        return Fraction(total, 6) / scale ** 3
-    raise UnsupportedDimension(f"volume of a general body in dimension {n}")
+    if total < 0:
+        raise InvariantViolation("negative volume from facet cycles")
+    return Fraction(total, factorial(n)) / scale ** n
 
 
 def lattice_count(P: Polytope, guard: int = LATTICE_GUARD) -> int:
@@ -685,7 +687,7 @@ def lattice_count(P: Polytope, guard: int = LATTICE_GUARD) -> int:
     # The normals are integer, so at an integer point n.x <= rhs holds
     # exactly when n.x <= floor(rhs); each line along the last axis then
     # meets P in one integer range, found by floor division.
-    rows = [(normal[:-1], normal[-1], floor(rhs)) for normal, rhs in P._halfspaces]
+    rows = [(normal[:-1], normal[-1], floor(rhs)) for normal, rhs in P._facets[0]]
     count = 0
     for prefix in itertools.product(*axes[:-1]):
         zlo, zhi = lo[-1], hi[-1]

@@ -216,6 +216,14 @@ def test_exit_code_json_boolean_as_number(command, payload, tmp_path, capsys):
     _assert_usage_error([command, *inputs], capsys)
 
 
+@pytest.mark.parametrize("command", ["expand", "components", "ehrhart", "mixed", "compare"])
+def test_exit_code_input_not_utf8(command, tmp_path, capsys):
+    path = tmp_path / "bytes.json"
+    path.write_bytes(b"\xff\xfe{")
+    inputs = ["--input", str(path)] * (2 if command in ("mixed", "compare") else 1)
+    _assert_usage_error([command, *inputs], capsys)
+
+
 SEGMENT_SUM = [{"coef": 1, "polytope": {"dim": 1, "vertices": [["0"], ["1"]]}}]
 SQUARE_SUM = [{"coef": 1, "polytope": pk.polytope_to_obj(pk.unit_cube(2))}]
 CUBE_SUM = [{"coef": 2, "polytope": pk.polytope_to_obj(pk.unit_cube(3))}]

@@ -30,7 +30,7 @@ def fraction_contains(P, x):
     if len(P.vertices) == 1:
         return x == P.vertices[0]
     if pk.dim(P) == P.ambient_dim:
-        return all(sum(c * t for c, t in zip(normal, x)) <= rhs for normal, rhs in P._halfspaces)
+        return all(sum(c * t for c, t in zip(normal, x)) <= rhs for normal, rhs in P._facets[0])
     origin, solve, reduced = P._frame
     coords = solve(tuple(a - b for a, b in zip(x, origin)))
     return coords is not None and fraction_contains(reduced, coords)
@@ -69,10 +69,10 @@ def _assert_same_body(S, O):
     if pk.dim(S) == n and n <= 3:
         if n == 3 and len(S.vertices) > 4:
             assert "_facets" in vars(S)
-        assert S._halfspaces == O._halfspaces
+        assert S._facets[0] == O._facets[0]
         # a copy without handed-over data computes the same planes itself
         copy = pk._trusted(n, S.vertices)
-        assert set(copy._halfspaces) == set(S._halfspaces)
+        assert set(copy._facets[0]) == set(S._facets[0])
         if n == 3:
             assert S._facets[0] == O._facets[0]
             assert pk.volume(copy) == pk.volume(S)
@@ -177,7 +177,7 @@ def _membership_points(rng, P):
     groups = [verts]
     if pk.dim(P) == n:
         groups = [[v for v in verts if sum(c * t for c, t in zip(normal, v)) == rhs]
-                  for normal, rhs in P._halfspaces]
+                  for normal, rhs in P._facets[0]]
     on_body, near = list(verts), []
     for group in groups:
         weights = [F(rng.randint(1, 5)) for _ in group]

@@ -1,5 +1,6 @@
 """Polytope kernel: hulls, sums, dilation, volume, counting, decomposition."""
 
+import dataclasses
 import gc
 import itertools
 import json
@@ -220,7 +221,7 @@ def test_hull_matches_brute_force_enumeration():
         Q = pk._trusted(3, P.vertices)
         assert pk.volume(P) == pk.volume(Q)
         if d == 3:
-            assert set(P._halfspaces) == planes == set(Q._halfspaces)
+            assert set(P._facets[0]) == planes == set(Q._facets[0])
             assert pk.lattice_count(P) == pk.lattice_count(Q)
     assert seeded >= 100
 
@@ -531,13 +532,13 @@ def test_lattice_count_matches_brute_force_scan():
         if pk.dim(P) < n:
             lower_dim += 1
         elif n > 1:
-            vertical += any(normal[-1] == 0 for normal, _ in P._halfspaces)
+            vertical += any(normal[-1] == 0 for normal, _ in P._facets[0])
     assert lower_dim >= 150 and vertical >= 100
 
 
 def test_lattice_count_box_with_vertical_facets():
     box = pk.hull(itertools.product(("-3/2", "7/3"), ("-1", "2"), ("-1/7", "5/2")))
-    assert any(normal[-1] == 0 for normal, _ in box._halfspaces)
+    assert any(normal[-1] == 0 for normal, _ in box._facets[0])
     assert pk.lattice_count(box) == 4 * 4 * 3 == brute_lattice_count(box)
 
 
@@ -632,6 +633,23 @@ def test_verify_decomposition_d2_d3():
     assert report.ok
 
 
+@pytest.mark.parametrize("vectors, a, b", [
+    ([(1, 0), (0, 1)], F(1), F(1)),
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], F(1, 2), F(3, 2)),
+])
+def test_verify_decomposition_catches_shrunken_seams(vectors, a, b):
+    basis = pk.simplex_basis(vectors)
+    pieces = pk.decomposition_pieces(basis, a, b)
+    assert pk.verify_decomposition(basis, a, b).ok
+    # seams shrunk to their first vertex: every sample still lies on the
+    # slice and in the adjacent cells, so only the converse check sees it
+    shrunk = tuple(pk.hull([seam.vertices[0]]) for seam in pieces.seams)
+    basis._pieces[(a, b)] = dataclasses.replace(pieces, seams=shrunk)
+    report = pk.verify_decomposition(basis, a, b)
+    assert not report.seams_match and report.seams_lower_dim
+    assert report.failures and "missing from seam" in report.failures[0]
+
+
 def test_verify_decomposition_random_bases():
     rng = random.Random(21)
     for d in (1, 2, 3):
@@ -702,12 +720,17 @@ def test_polytope_from_obj_rejects_bad_fields():
 
 INVARIANT_PROBE = """
 from convexval import _geometry as geom
+from convexval import polytope as pk
 from convexval.errors import InvariantViolation
 
 cube = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+# a quadrilateral (no simplex, no box) with its edge cycles reversed
+reversed_edges = pk.hull([(0, 0), (2, 0), (2, 1), (0, 2)])
+planes, cycles = reversed_edges._facets
+vars(reversed_edges)["_facets"] = planes, tuple(cycle[::-1] for cycle in cycles)
 calls = [
     lambda: geom._plane_through(cube, (0, 0, 0), (1, 1, 0), (0, 1, 1)),
-    lambda: geom.area2_2d([(0, 0), (1, 0), (0, 1)], [0, 2, 1]),
+    lambda: pk.volume(reversed_edges),
 ]
 for call in calls:
     try:
@@ -729,5 +752,5 @@ def test_invariants_raise_typed_errors_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "raised: plane is not supporting",
-        "raised: polygon cycle is not counter-clockwise",
+        "raised: negative volume from facet cycles",
     ]
