@@ -109,8 +109,6 @@ def _parse_valuation(token: str, ambient: int) -> vv.ValuationDescriptor:
         return vv.volume_valuation()
     if token == "euler":
         return vv.euler_valuation()
-    if token == "lattice":
-        return vv.lattice_valuation()
     if token.startswith("probe:"):
         name = token.split(":", 1)[1]
         maker = _NAMED_PROBES.get(name)
@@ -119,9 +117,6 @@ def _parse_valuation(token: str, ambient: int) -> vv.ValuationDescriptor:
                 f"unknown probe {name!r}; choose from {sorted(_NAMED_PROBES)}"
             )
         return vv.probe_volume(maker(ambient), name)
-    if token.startswith("support:"):
-        coords = token.split(":", 1)[1]
-        return vv.support_valuation(tuple(_parse_rat(c) for c in coords.split(",")))
     raise ParseError(f"unknown valuation {token!r}")
 
 

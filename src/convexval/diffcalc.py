@@ -254,6 +254,9 @@ def extract_components(
     back by (n!)^(n-1)) or by dividing h by n! in the codomain, whichever
     carrier supports exact division. Subtracting the diagonal and recursing
     yields the remaining components; the constant is the final residual.
+    From `QQ_NONNEG` or `NATURALS` into `QQ` the diagonal subtracted is
+    at_ones * a^k, so f is read only at the difference nodes base + j/k!
+    (base + j over the naturals), j = 0..k, besides the probes.
 
     ``base`` is where the constant iterated differences are evaluated
     (default: the domain zero, which pins the constant term to f(0)).
@@ -278,6 +281,10 @@ def extract_components(
             "in the domain or the codomain"
         )
 
+    # on rational scalars a symmetric k-additive map is Q-multilinear, so its
+    # diagonal is at_ones * a^k; other carriers re-expand the component
+    # through iterated differences at every point the residual is read
+    scalar = (A is QQ_NONNEG or A is NATURALS) and M is QQ
     source = _memoized(f.fn)
     residual = source
     reversed_components = []
@@ -289,8 +296,12 @@ def extract_components(
             ExpansionComponent(arity=k, evaluate=evaluate, at_ones=at_ones)
         )
 
-        def next_residual(a, prev=residual, comp=evaluate, arity=k):
-            return M.add(prev(a), M.neg(comp(*((a,) * arity))))
+        if scalar:
+            def next_residual(a, prev=residual, c=at_ones, arity=k):
+                return prev(a) - c * a ** arity
+        else:
+            def next_residual(a, prev=residual, comp=evaluate, arity=k):
+                return M.add(prev(a), M.neg(comp(*((a,) * arity))))
 
         residual = _memoized(next_residual)
 

@@ -1,6 +1,7 @@
 """CLI: parsing, reports, determinism, exit codes."""
 
 import json
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -506,3 +507,45 @@ def test_decompose_json_golden(d, a, b, capsys):
     argv = ["decompose", "--format", "json", "--basis", DECOMPOSE_BASES[d], "--a", a, "--b", b]
     assert run(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--valuation", "lattice"],
+    ["expand", "--valuation", "support:1"],
+    ["components", "--panel", "lattice"],
+    ["components", "--panel", "support:1"],
+    ["compare", "--panel", "lattice"],
+    ["compare", "--panel", "support:1"],
+])
+def test_exit_code_tokens_without_translation_invariance(argv, square_file, tmp_path, capsys):
+    if argv[0] == "compare":
+        path = tmp_path / "sum.json"
+        path.write_text(json.dumps(SQUARE_SUM))
+        inputs = ["--input", str(path)] * 2
+    else:
+        inputs = ["--input", square_file]
+    _assert_usage_error([argv[0], *inputs, *argv[1:]], capsys)
+
+
+# input bodies and expected stdout of the extraction regression runs, kept
+# next to the goldens so that CI can run the same commands
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def test_expand_segment_degree8_golden(monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN_DIR.parent.parent)
+    assert run(["expand", "--input", "tests/golden/segment.json", "--degree", "8"]) == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / "expand-segment-degree8.txt").read_text()
+
+
+def test_ehrhart_width3_tetrahedron(capsys):
+    # conv(0, 3e1, 3e2, 3e3): its k-dilate holds C(3k+3, 3) lattice points
+    code = run(["ehrhart", "--input", str(GOLDEN_DIR / "tet-width3.json"), "--lambda", "6"])
+    out = capsys.readouterr().out
+    assert code == 0
+    for k in range(7):
+        assert f"counts.{k} = {comb(3 * k + 3, 3)}\n" in out
+    assert out.endswith(
+        "coefficients.f_0 = 1\ncoefficients.f_1 = 11/2\n"
+        "coefficients.f_2 = 9\ncoefficients.f_3 = 9/2\n"
+    )

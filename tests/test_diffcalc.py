@@ -1,6 +1,7 @@
 """Difference-operator calculus: laws, extraction, carriers."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -240,3 +241,84 @@ def test_extraction_matches_vandermonde_fit():
             assert extracted == fitted[:bound + 1]
             if coeffs is not None:
                 assert extracted[:degree + 1] == coeffs
+
+
+# QQ in every field but not the `QQ` record itself: extract_components then
+# re-expands each component through iterated differences, as it does for
+# every carrier other than the rational scalars
+QQ_GENERIC = replace(QQ)
+
+ORACLE_CARRIERS = [
+    (QQ_NONNEG, F(0)),
+    (QQ_NONNEG, F(1)),
+    (QQ_NONNEG, F(1, 3)),
+    (NATURALS, 0),
+]
+
+
+def _random_argument(rng, domain):
+    if domain is NATURALS:
+        return rng.randint(0, 4)
+    return F(rng.randint(0, 9), rng.choice((1, 2, 3)))
+
+
+@pytest.mark.parametrize("degree", range(7))
+@pytest.mark.parametrize("domain, base", ORACLE_CARRIERS, ids=["qq-0", "qq-1", "qq-1_3", "nat-0"])
+def test_scalar_extraction_matches_generic_recursion(domain, base, degree):
+    rng = random.Random(101 + 7 * degree)
+    coeffs = [F(rng.randint(-9, 9), rng.choice((1, 2, 3, 5))) for _ in range(degree + 1)]
+    fn = poly(coeffs)
+    fast = extract_components(FunctionHandle(fn, domain, QQ), degree, base=base)
+    generic = extract_components(FunctionHandle(fn, domain, QQ_GENERIC), degree, base=base)
+    assert fast.scalar_coefficients() == generic.scalar_coefficients() == coeffs
+    for fast_comp, generic_comp in zip(fast.components, generic.components):
+        for _ in range(3):
+            args = [_random_argument(rng, domain) for _ in range(fast_comp.arity)]
+            assert fast_comp.evaluate(*args) == generic_comp.evaluate(*args)
+
+
+def _ehrhart_of_half_segment(k):
+    return F(pk.lattice_count(pk.dilate(pk.hull([(0,), ("1/2",)]), k)))
+
+
+NOT_POLYNOMIAL = {
+    "quartic-n3": (QQ_NONNEG, lambda a: a ** 4, 3),
+    "reciprocal-n2": (QQ_NONNEG, lambda a: 1 / (1 + a), 2),
+    "reciprocal-n4": (QQ_NONNEG, lambda a: 1 / (1 + a), 4),
+    "abs-n1": (QQ_NONNEG, lambda a: abs(a - 1), 1),
+    "abs-n2": (QQ_NONNEG, lambda a: abs(a - 1), 2),
+    "floor-half-n1": (NATURALS, lambda k: F(k // 2), 1),
+    "floor-half-n2": (NATURALS, lambda k: F(k // 2), 2),
+    "floor-half-n3": (NATURALS, lambda k: F(k // 2), 3),
+    "power-of-two-n2": (NATURALS, lambda k: F(2 ** k), 2),
+    "power-of-two-n3": (NATURALS, lambda k: F(2 ** k), 3),
+    "mod-3-n1": (NATURALS, lambda k: F(k % 3), 1),
+    "mod-3-n2": (NATURALS, lambda k: F(k % 3), 2),
+    "square-plus-parity-n2": (NATURALS, lambda k: F(k * k + k % 2), 2),
+    "half-segment-n1": (NATURALS, _ehrhart_of_half_segment, 1),
+}
+
+
+@pytest.mark.parametrize("domain, fn, n", NOT_POLYNOMIAL.values(), ids=NOT_POLYNOMIAL.keys())
+def test_both_extraction_paths_reject_non_polynomials(domain, fn, n):
+    for codomain in (QQ, QQ_GENERIC):
+        with pytest.raises(ReconstructionFailure):
+            extract_components(FunctionHandle(fn, domain, codomain), n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("domain", [QQ_NONNEG, NATURALS], ids=["qq", "nat"])
+def test_scalar_extraction_evaluates_only_the_difference_nodes(domain, n):
+    points = []
+
+    def fn(a):
+        points.append(a)
+        return F(a) ** n + 2
+
+    expansion = extract_components(FunctionHandle(fn, domain, QQ), n, probes=[])
+    assert expansion.scalar_coefficients() == [F(2)] + [F(0)] * (n - 1) + [F(1)]
+    assert len(points) == len(set(points))
+    if domain is NATURALS:
+        assert sorted(points) == list(range(n + 1))
+    else:
+        assert len(points) <= (n + 1) * (n + 2) // 2
