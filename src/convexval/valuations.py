@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Optional
 
 from . import polytope as pk
@@ -28,7 +29,7 @@ from .diffcalc import (
     PolynomialExpansion,
     extract_components,
 )
-from .errors import NonInvariantOnClasses, WrongDimension
+from .errors import NonInvariantOnClasses, ReconstructionFailure, WrongDimension
 from .rationals import rat_str
 
 VOLUME = "volume"
@@ -170,16 +171,33 @@ def expansion_of_dilation(
 def ehrhart_expansion(P: pk.Polytope, degree: int | None = None) -> PolynomialExpansion:
     """Expansion of k -> lattice_count(k*P) over the naturals.
 
-    Exact for lattice polytopes; for non-integral vertices the counting
-    function is only a quasi-polynomial and extraction reports
-    ReconstructionFailure.
+    Exact for lattice polytopes. For non-integral vertices the counting
+    function is a quasi-polynomial, and ReconstructionFailure is raised
+    unless it is a polynomial.
     """
     if degree is None:
         degree = pk.dim(P)
-    fn = FunctionHandle(
-        lambda k: Fraction(pk.lattice_count(pk.dilate(P, k))), NATURALS, QQ
-    )
-    return extract_components(fn, degree)
+
+    @lru_cache(maxsize=None)
+    def count(k):
+        return Fraction(pk.lattice_count(pk.dilate(P, k)))
+
+    expansion = extract_components(FunctionHandle(count, NATURALS, QQ), degree)
+    # The count is a quasi-polynomial of degree dim P whose period divides the
+    # common denominator D of the vertex coordinates (Ehrhart). It is the
+    # extracted polynomial iff each of its D constituents agrees with it at
+    # max(degree, dim P) + 1 dilates of its residue class mod D, all of which
+    # lie below D * (max(degree, dim P) + 1). For a lattice polytope (D = 1)
+    # extraction has already counted all of them.
+    D = lcm(*(c.denominator for v in P.vertices for c in v))
+    coeffs = expansion.scalar_coefficients()
+    for k in range(D * (max(degree, pk.dim(P)) + 1)):
+        if count(k) != sum(c * k**i for i, c in enumerate(coeffs)):
+            raise ReconstructionFailure(
+                f"lattice count of the {k}-dilate leaves the extracted "
+                "polynomial; the counting function is a quasi-polynomial"
+            )
+    return expansion
 
 
 def mixed_volume_2d(P: pk.Polytope, Q: pk.Polytope) -> Fraction:

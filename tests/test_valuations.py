@@ -199,6 +199,39 @@ def test_ehrhart_expansion_rejects_quasi_polynomial():
         vv.ehrhart_expansion(P)
 
 
+@pytest.mark.parametrize(
+    "points",
+    [
+        # (k+1)(k+2)/2 points up to k = 12, then 106 at k = 13
+        [(0, 0, 0), ("1/13", 0, 0), (0, 1, 0), (0, 0, 1)],
+        # k + 1 points up to k = 9, then 12 at k = 10
+        [(0, 0), ("1/10", 0), (0, 1)],
+        # one point up to k = 6, then two at k = 7
+        [("11/13",), (1,)],
+    ],
+    ids=["tet-e1/13", "triangle-e1/10", "segment-11/13"],
+)
+def test_ehrhart_expansion_rejects_late_quasi_polynomial(points):
+    # the counts are polynomial on every dilate extraction reads and leave
+    # the polynomial only further out
+    with pytest.raises(ReconstructionFailure):
+        vv.ehrhart_expansion(pk.hull(points))
+
+
+@pytest.mark.parametrize(
+    "den, expected", [(2, [1, F(3, 2), F(1, 2)]), (3, [1, 2, 1])]
+)
+def test_ehrhart_expansion_accepts_rational_polynomial_count(den, expected):
+    # conv((0,0), (1, (den-1)/den), (den, 0)) has a non-integral vertex, yet
+    # its counting function is a polynomial (period collapse)
+    P = pk.hull([(0, 0), (1, F(den - 1, den)), (den, 0)])
+    assert vv.ehrhart_expansion(P).scalar_coefficients() == expected
+    for k in range(6 * den):
+        assert pk.lattice_count(pk.dilate(P, k)) == sum(
+            c * k**i for i, c in enumerate(expected)
+        )
+
+
 def test_descriptor_keys():
     assert vv.volume_valuation().key() == "volume"
     assert vv.euler_valuation().key() == "euler"
