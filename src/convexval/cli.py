@@ -96,13 +96,6 @@ def _parse_basis(text: str) -> pk.SimplexBasis:
         raise ParseError(f"--basis: {exc}") from exc
 
 
-_NAMED_PROBES = {
-    "unit_cube": pk.unit_cube,
-    "std_simplex": pk.standard_simplex,
-    "asym_simplex": pk.asymmetric_simplex,
-}
-
-
 def _parse_valuation(token: str, ambient: int) -> vv.ValuationDescriptor:
     token = token.strip()
     if token == "volume":
@@ -111,11 +104,9 @@ def _parse_valuation(token: str, ambient: int) -> vv.ValuationDescriptor:
         return vv.euler_valuation()
     if token.startswith("probe:"):
         name = token.split(":", 1)[1]
-        maker = _NAMED_PROBES.get(name)
+        maker = vv.NAMED_PROBES.get(name)
         if maker is None:
-            raise ParseError(
-                f"unknown probe {name!r}; choose from {sorted(_NAMED_PROBES)}"
-            )
+            raise ParseError(f"unknown probe {name!r}; choose from {sorted(vv.NAMED_PROBES)}")
         return vv.probe_volume(maker(ambient), name)
     raise ParseError(f"unknown valuation {token!r}")
 
@@ -174,7 +165,7 @@ def _cmd_expand(args) -> tuple[int, dict]:
     val = _parse_valuation(args.valuation, P.ambient_dim)
     probe = None
     if args.probe is not None:
-        maker = _NAMED_PROBES.get(args.probe)
+        maker = vv.NAMED_PROBES.get(args.probe)
         if maker is None:
             raise ParseError(f"unknown probe {args.probe!r}")
         probe = maker(P.ambient_dim)

@@ -24,50 +24,31 @@ from typing import Any, Callable, Optional
 from .errors import DivisionUnsupported, ReconstructionFailure
 
 
-def _scale_by_doubling(k: int, x, add, neg, zero):
-    if k < 0:
-        return _scale_by_doubling(-k, neg(x), add, neg, zero)
-    acc = zero
-    base = x
-    while k:
-        if k & 1:
-            acc = add(acc, base)
-        k >>= 1
-        if k:
-            base = add(base, base)
-    return acc
-
-
 @dataclass(frozen=True)
 class SemigroupOps:
     """Additive domain carrier.
 
-    ``div`` (exact division by a positive integer) is required for component
-    extraction when the codomain is not divisible; ``one`` names the point at
-    which single component values are reported.
+    ``div`` (exact division by a positive integer, or None) is required for
+    component extraction when the codomain is not divisible; ``one`` names
+    the point at which single component values are reported.
     """
 
     add: Callable[[Any, Any], Any]
     zero: Any
-    div: Optional[Callable[[Any, int], Any]] = None
-    one: Any = None
+    div: Optional[Callable[[Any, int], Any]]
+    one: Any
 
 
 @dataclass(frozen=True)
 class GroupOps:
-    """Abelian codomain carrier."""
+    """Abelian codomain carrier; ``scale(k, x)`` is k*x for an integer k, and
+    elements compare with ``==``."""
 
     add: Callable[[Any, Any], Any]
     zero: Any
     neg: Callable[[Any], Any]
-    scale: Optional[Callable[[int, Any], Any]] = None
+    scale: Callable[[int, Any], Any]
     div: Optional[Callable[[Any, int], Any]] = None
-    eq: Callable[[Any, Any], bool] = operator.eq
-
-    def scaled(self, k: int, x):
-        if self.scale is not None:
-            return self.scale(k, x)
-        return _scale_by_doubling(k, x, self.add, self.neg, self.zero)
 
 
 QQ_NONNEG = SemigroupOps(
@@ -192,7 +173,7 @@ def verify_cocycle(f: FunctionHandle, u, v, base=None) -> bool:
         M.neg(M.add(iterated_delta(f, [u], base), iterated_delta(f, [v], base))),
     )
     rhs = iterated_delta(f, [u, v], base)
-    return M.eq(lhs, rhs)
+    return lhs == rhs
 
 
 def verify_vanishing(f: FunctionHandle, n: int, u_samples, base_samples) -> bool:
@@ -207,7 +188,7 @@ def verify_vanishing(f: FunctionHandle, n: int, u_samples, base_samples) -> bool
     g = FunctionHandle(_memoized(f.fn), f.domain, f.codomain)
     for multiset in combinations_with_replacement(us, n + 1):
         for base in bases:
-            if not M.eq(iterated_delta(g, list(multiset), base), M.zero):
+            if iterated_delta(g, list(multiset), base) != M.zero:
                 return False
     return True
 
@@ -223,7 +204,7 @@ def _component_maker(residual_handle, k, base, use_domain_div):
         def evaluate(*us):
             scaled = [A.div(u, kfact) for u in us]
             h = iterated_delta(residual_handle, scaled, base)
-            return M.scaled(kfact ** (k - 1), h)
+            return M.scale(kfact ** (k - 1), h)
     else:
         def evaluate(*us):
             h = iterated_delta(residual_handle, list(us), base)
@@ -233,8 +214,6 @@ def _component_maker(residual_handle, k, base, use_domain_div):
 
 
 def _default_probes(A: SemigroupOps):
-    if A.one is None:
-        return [A.zero]
     one = A.one
     probes = [A.zero, one, A.add(one, one), A.add(A.add(one, one), one)]
     if A.div is not None:
@@ -291,7 +270,7 @@ def extract_components(
     for k in range(n, 0, -1):
         handle = FunctionHandle(residual, A, M)
         evaluate = _component_maker(handle, k, base, use_domain_div)
-        at_ones = evaluate(*((A.one,) * k)) if A.one is not None else None
+        at_ones = evaluate(*((A.one,) * k))
         reversed_components.append(
             ExpansionComponent(arity=k, evaluate=evaluate, at_ones=at_ones)
         )
@@ -314,9 +293,9 @@ def extract_components(
 
     checks = probes if probes is not None else _default_probes(A)
     for a in checks:
-        if not M.eq(source(a), expansion.value(a)):
+        if source(a) != expansion.value(a):
             raise ReconstructionFailure(
-                f"expansion does not reconstruct the function at probe {a!r}; "
+                f"expansion does not reconstruct the function at probe {a}; "
                 f"the degree-{n} vanishing hypothesis fails"
             )
     # a false hypothesis can still reconstruct (the residual soaks up the
@@ -329,7 +308,7 @@ def extract_components(
                     rest = (u,) * (comp.arity - 1)
                     joint = comp.evaluate(A.add(u, v), *rest)
                     split = M.add(comp.evaluate(u, *rest), comp.evaluate(v, *rest))
-                    if not M.eq(joint, split):
+                    if joint != split:
                         raise ReconstructionFailure(
                             f"degree-{comp.arity} component is not additive; "
                             f"the degree-{n} vanishing hypothesis fails"

@@ -7,7 +7,7 @@ are exact; there is no floating point anywhere in this module. Hulls, sums,
 volumes and membership work on each body's integer form, `Polytope._ints`.
 
 General-position bodies are supported up to ambient dimension 3. Simplices
-and axis-aligned boxes get closed forms in any dimension.
+get closed forms in any dimension, and axis-aligned boxes beyond dimension 3.
 """
 
 from __future__ import annotations
@@ -398,8 +398,9 @@ def _partial_sums(basis: SimplexBasis) -> list:
 
 
 def simplex_from_basis(basis: SimplexBasis) -> Polytope:
-    """Simplex with vertices at the partial sums 0, v1, v1+v2, ..."""
-    return _trusted(basis.ambient_dim, _partial_sums(basis))
+    """Simplex with vertices at the partial sums 0, v1, v1+v2, ..., kept on
+    the basis as S(0..d), so that its dilates share one root."""
+    return basis._partial_simplices[-1][0]
 
 
 @dataclass(frozen=True)
@@ -639,11 +640,12 @@ def volume(P: Polytope) -> Fraction:
         rows = [tuple(a - b for a, b in zip(v, base)) for v in P.vertices[1:]]
         return abs(_linalg.det(rows)) / factorial(n)
     ints, scale = P._ints
-    if _box_corners(ints) is not None:
+    if n > 3:
+        # no facet table beyond R^3: only a box has a closed form
+        if _box_corners(ints) is None:
+            raise UnsupportedDimension(f"volume of a general body in dimension {n}")
         lo, hi = P.vertices[0], P.vertices[-1]
         return prod((h - l for l, h in zip(lo, hi)), start=Fraction(1))
-    if n > 3:
-        raise UnsupportedDimension(f"volume of a general body in dimension {n}")
     # n! times the signed volumes of the simplices joining vertex o to each
     # edge (R^2) or to a fan triangulation of each facet polygon (R^3)
     _, cycles = P._facets
@@ -662,10 +664,10 @@ def volume(P: Polytope) -> Fraction:
     return Fraction(total, factorial(n)) / scale ** n
 
 
-def lattice_count(P: Polytope, guard: int = LATTICE_GUARD) -> int:
+def lattice_count(P: Polytope) -> int:
     """Number of integer points in P, by guarded bounding-box enumeration.
 
-    The guard bounds the integer points of the bounding box. Full-dimensional
+    LATTICE_GUARD bounds the integer points of the bounding box. Full-dimensional
     bodies are counted one line of the last axis at a time; lower-dimensional
     ones test every bounding-box point for membership.
     """
@@ -677,8 +679,8 @@ def lattice_count(P: Polytope, guard: int = LATTICE_GUARD) -> int:
     total = 1
     for l, h in zip(lo, hi):
         total *= max(h - l + 1, 0)
-    if total > guard:
-        raise GuardExceeded(f"bounding box holds {total} > {guard} candidates")
+    if total > LATTICE_GUARD:
+        raise GuardExceeded(f"bounding box holds {total} > {LATTICE_GUARD} candidates")
     if total == 0:
         return 0
     axes = [range(l, h + 1) for l, h in zip(lo, hi)]

@@ -89,15 +89,19 @@ def lattice_valuation() -> ValuationDescriptor:
     return ValuationDescriptor(LATTICE)
 
 
+# the named probe bodies by label: the default panel's probes and the
+# CLI's `probe:` tokens
+NAMED_PROBES = {
+    "unit_cube": pk.unit_cube,
+    "std_simplex": pk.standard_simplex,
+    "asym_simplex": pk.asymmetric_simplex,
+}
+
+
 def default_panel(ambient_dim: int) -> tuple:
-    """Volume, Euler, and the three standard probe volumes for a dimension."""
-    return (
-        volume_valuation(),
-        euler_valuation(),
-        probe_volume(pk.unit_cube(ambient_dim), "unit_cube"),
-        probe_volume(pk.standard_simplex(ambient_dim), "std_simplex"),
-        probe_volume(pk.asymmetric_simplex(ambient_dim), "asym_simplex"),
-    )
+    """Volume, Euler, and the named probe volumes for a dimension."""
+    return (volume_valuation(), euler_valuation()) + tuple(
+        probe_volume(make(ambient_dim), name) for name, make in NAMED_PROBES.items())
 
 
 @lru_cache(maxsize=pk.CACHE_SIZE)

@@ -10,9 +10,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
+from . import _linalg
 from . import bodygroup as bg
 from . import polytope as pk
 from . import valuations as vv
@@ -42,11 +43,6 @@ class SuiteResult:
         self.checks += 1
         if not ok:
             self.failures.append(message)
-
-    def line(self) -> str:
-        status = "PASS" if self.ok else "FAIL"
-        extra = "" if self.ok else f"; first failure: {self.failures[0]}"
-        return f"{status} {self.name} ({self.checks} checks{extra})"
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +178,6 @@ AB_PAIRS = (
 )
 
 
-def _valuation_identity_sides(val, basis, a, b):
-    pieces = pk.decomposition_pieces(basis, a, b)
-    lhs = vv.evaluate(val, pk.dilate(pk.simplex_from_basis(basis), a + b))
-    rhs = sum((vv.evaluate(val, cell) for cell in pieces.cells), Fraction(0))
-    return lhs, rhs - sum((vv.evaluate(val, seam) for seam in pieces.seams), Fraction(0))
-
-
 def simplex_decomposition(seed: int, bases_per_dim: int = 25) -> SuiteResult:
     result = SuiteResult("simplex decomposition tiling and valuation identity")
     rng = random.Random(seed)
@@ -205,11 +194,9 @@ def simplex_decomposition(seed: int, bases_per_dim: int = 25) -> SuiteResult:
                 result.count(
                     report.ok, f"tiling failed d={d}, a={a}, b={b}: {report.failures[:1]}"
                 )
-                for val in panel:
-                    lhs, rhs = _valuation_identity_sides(val, basis, a, b)
+                for row in bg.simplex_identity_as_classes(basis, a, b, panel).rows:
                     result.count(
-                        lhs == rhs,
-                        f"valuation identity failed d={d}, {val.key()}: {lhs} != {rhs}",
+                        row.ok, f"valuation identity failed d={d}, {row.name}: {row.detail}"
                     )
     return result
 
@@ -317,8 +304,6 @@ def _fit_polynomial(points):
     n = len(points)
     columns = [tuple(x ** j for x, _ in points) for j in range(n)]
     target = tuple(y for _, y in points)
-    from . import _linalg
-
     return _linalg.solve(columns, target)
 
 
@@ -331,7 +316,7 @@ def ehrhart_counts(max_dim: int = 3, max_dilation: int = 10) -> SuiteResult:
             got = pk.lattice_count(pk.dilate(cube, lam))
             # brute-force oracle: integer tuples inside the box, by bounds
             oracle = 0
-            for cand in _int_box(d, lam):
+            for cand in product(range(0, lam + 1), repeat=d):
                 if all(0 <= c <= lam for c in cand):
                     oracle += 1
             result.count(
@@ -356,12 +341,6 @@ def ehrhart_counts(max_dim: int = 3, max_dilation: int = 10) -> SuiteResult:
             f"coefficients d={d}: fitted {fitted}, extracted {extracted}",
         )
     return result
-
-
-def _int_box(d, lam):
-    import itertools
-
-    return itertools.product(range(0, lam + 1), repeat=d)
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,17 @@ def test_exit_code_components_degree_below_dimension(body, degree, tmp_path, cap
     _assert_usage_error(["components", "--input", str(path), "--degree", degree], capsys)
 
 
+def test_reconstruction_error_prints_the_probe_as_a_number(tmp_path, capsys):
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps(pk.polytope_to_obj(pk.unit_cube(3))))
+    code = run(["expand", "--input", str(path), "--degree", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert "at probe 2;" in errors[0] and "Fraction(" not in errors[0]
+
+
 @pytest.mark.parametrize(
     "command, payload",
     [

@@ -173,7 +173,7 @@ def test_reconstruction_failure_on_wrong_degree():
 def test_division_unsupported_without_divisible_carrier():
     import operator
 
-    int_group = GroupOps(add=operator.add, zero=0, neg=operator.neg)
+    int_group = GroupOps(add=operator.add, zero=0, neg=operator.neg, scale=operator.mul)
     f = FunctionHandle(lambda k: k * k, NATURALS, int_group)
     with pytest.raises(DivisionUnsupported):
         extract_components(f, 2)

@@ -349,6 +349,17 @@ def test_simplex_from_basis_volume_det_oracle():
         assert pk.volume(P) == abs(d) / 6
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_simplex_from_basis_is_kept_on_the_basis(d):
+    rng = random.Random(40 + d)
+    basis = vs.random_basis(rng, d)
+    S = pk.simplex_from_basis(basis)
+    assert pk.simplex_from_basis(basis) is S
+    partial_sums = [tuple(sum((v[j] for v in basis.vectors[:i]), F(0)) for j in range(d))
+                    for i in range(d + 1)]
+    assert S == pk.hull(partial_sums)
+
+
 def test_dependent_basis_rejected():
     with pytest.raises(DependentBasis):
         pk.simplex_basis([(1, 0), (2, 0)])
@@ -612,12 +623,60 @@ def test_decomposition_pieces_built_once_per_basis_and_scales(d, monkeypatch):
     panel = (vv.volume_valuation(), vv.euler_valuation())
     assert pk.verify_decomposition(basis, a, b).ok
     assert bg.simplex_identity_as_classes(basis, a, b, panel).ok
-    for val in panel:
-        lhs, rhs = vs._valuation_identity_sides(val, basis, a, b)
-        assert lhs == rhs
     # d + 1 cells and d seams, built by the first reader and kept on the basis
     assert len(calls) == 2 * d + 1
     assert pk.decomposition_pieces(basis, "1/2", "3/2") is pk.decomposition_pieces(basis, a, b)
+
+
+def _factor_over(P, S):
+    """t > 0 with P = t*S + s for a shift s, else None. A positive homothety
+    keeps the vertex order, so vertex i of P is the image of vertex i of S."""
+    if len(P.vertices) != len(S.vertices):
+        return None
+    ratios = set()
+    for p, s in zip(P.vertices, S.vertices):
+        for pc, p0, sc, s0 in zip(p, P.vertices[0], s, S.vertices[0]):
+            if sc == s0:
+                if pc != p0:
+                    return None
+            else:
+                ratios.add((pc - p0) / (sc - s0))
+    return ratios.pop() if len(ratios) == 1 and min(ratios) > 0 else None
+
+
+def test_staircase_simplex_hulled_at_the_first_scales_only(monkeypatch):
+    # the (a+b)-dilate of the staircase simplex is a homothet of the one
+    # simplex the basis keeps, so its facets and its sum with the probe come
+    # from the 3D hull at the first (a, b) only
+    basis = pk.simplex_basis([(1, 0, 0), ("1/7", "2/5", 0), (0, "3/11", "5/3")])
+    S = pk.simplex_from_basis(basis)
+    panel = (vv.volume_valuation(), vv.euler_valuation(),
+             vv.probe_volume(pk.unit_cube(3), "unit_cube"))
+    hulls = []
+    real_hull = pk._HULL_FACETS[3]
+    monkeypatch.setitem(pk._HULL_FACETS, 3, lambda pts: hulls.append(1) or real_hull(pts))
+    counts = []
+
+    def count_hulls_on_the_dilate(name):
+        real = getattr(pk, name)
+
+        def wrapper(P, *args):
+            before = len(hulls)
+            result = real(P, *args)
+            if _factor_over(P, S) == a + b:
+                counts[-1][name] += len(hulls) - before
+            return result
+
+        monkeypatch.setattr(pk, name, wrapper)
+
+    count_hulls_on_the_dilate("contains")
+    count_hulls_on_the_dilate("minkowski_sum")
+    for a, b in vs.AB_PAIRS:
+        counts.append({"contains": 0, "minkowski_sum": 0})
+        assert pk.verify_decomposition(basis, a, b).ok
+        assert bg.simplex_identity_as_classes(basis, a, b, panel).ok
+    first, later = {"contains": 1, "minkowski_sum": 1}, {"contains": 0, "minkowski_sum": 0}
+    assert counts == [first, later, later]
 
 
 def test_verify_decomposition_d1():

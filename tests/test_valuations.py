@@ -105,15 +105,12 @@ def test_dilated_simplex_valuation_identity_d2():
     # frozen hand computation for the unit staircase basis, a = b = 1:
     # euler: 1 = (1+1+1) - (1+1); volume: 2 = (1/2+1+1/2) - 0
     basis = pk.simplex_basis([(1, 0), (0, 1)])
-    from convexval.verify_suite import _valuation_identity_sides
-
-    lhs, rhs = _valuation_identity_sides(vv.euler_valuation(), basis, F(1), F(1))
-    assert lhs == rhs == 1
-    lhs, rhs = _valuation_identity_sides(vv.volume_valuation(), basis, F(1), F(1))
-    assert lhs == rhs == 2
-    probe = vv.probe_volume(pk.unit_cube(2), "unit_cube")
-    lhs, rhs = _valuation_identity_sides(probe, basis, F(1), F(1))
-    assert lhs == rhs
+    dilate = pk.dilate(pk.simplex_from_basis(basis), 2)
+    assert vv.evaluate(vv.euler_valuation(), dilate) == 1
+    assert vv.evaluate(vv.volume_valuation(), dilate) == 2
+    panel = (vv.euler_valuation(), vv.volume_valuation(),
+             vv.probe_volume(pk.unit_cube(2), "unit_cube"))
+    assert bg.simplex_identity_as_classes(basis, F(1), F(1), panel).ok
 
 
 def test_dilation_volume_vanishes_at_degree_two():
