@@ -138,17 +138,15 @@ def _pivot(pts, u, t, n):
     the points strictly inside the current plane.
     """
     best = balpha = bbeta = None
-    ux, uy, uz = u
     nx, ny, nz = n
     tx, ty, tz = t
-    for j, p in enumerate(pts):
-        dx = p[0] - ux
-        dy = p[1] - uy
-        dz = p[2] - uz
-        beta = -(nx * dx + ny * dy + nz * dz)
+    # beta = n.(u - p) and alpha = t.(p - u), from the products at u
+    nu, tu = dot(n, u), dot(t, u)
+    for j, (x, y, z) in enumerate(pts):
+        beta = nu - (nx * x + ny * y + nz * z)
         if beta <= 0:
             continue
-        alpha = tx * dx + ty * dy + tz * dz
+        alpha = tx * x + ty * y + tz * z - tu
         if best is None or alpha * bbeta - beta * balpha > 0:
             best, balpha, bbeta = j, alpha, beta
     if best is None:
@@ -157,9 +155,13 @@ def _pivot(pts, u, t, n):
 
 
 def _facet_cycle(pts, n, c):
-    """Vertex cycle of the facet on plane n.x == c, CCW seen from outside."""
+    """Vertex cycle of the facet on plane n.x == c, CCW seen from outside,
+    after checking in the same scan that the plane supports every point."""
     nx, ny, nz = n
-    on = [i for i, (x, y, z) in enumerate(pts) if nx * x + ny * y + nz * z == c]
+    vals = [nx * x + ny * y + nz * z for x, y, z in pts]
+    if max(vals) > c:
+        raise InvariantViolation("plane is not supporting")
+    on = [i for i, v in enumerate(vals) if v == c]
     b1 = ax, ay, az = _perp_vector(n)
     b2 = bx, by, bz = cross3(n, b1)
     proj = [(ax * x + ay * y + az * z, bx * x + by * y + bz * z)
@@ -261,15 +263,17 @@ def hull_3d(pts):
             if ekey in edges_done:
                 continue
             edges_done.add(ekey)
-            u = pts[ui]
-            t = cross3(sub(pts[wi], u), n)
-            ref = next(
-                pts[r] for r in cycle if dot(t, sub(pts[r], u)) != 0
-            )
-            if dot(t, sub(ref, u)) > 0:
+            # the cycle's next vertex is off the edge line (no three collinear)
+            u, ref = pts[ui], pts[cycle[(idx + 2) % k]]
+            e = sub(pts[wi], u)
+            t = cross3(e, n)
+            if dot(t, ref) > dot(t, u):
                 t = neg(t)
             q = _pivot(pts, u, t, n)
-            nb = _plane_through(pts, u, pts[wi], pts[q])
+            # the neighbour plane holds the edge, with ref strictly inside
+            m = primitive(cross3(e, sub(pts[q], u)))
+            c = dot(m, u)
+            nb = (m, c) if dot(m, ref) < c else (neg(m), -c)
             if nb not in facets:
                 queue.append(nb)
     vertices = sorted({i for cyc in facets.values() for i in cyc})

@@ -1,41 +1,54 @@
-"""Small exact linear algebra over Fraction, used by the polytope kernel.
+"""Small exact linear algebra, used by the polytope kernel.
 
-Every function reads the result of one greedy Gaussian elimination,
-`_eliminate`.
+Every function reads the result of one greedy elimination, `_eliminate`,
+fraction-free in integers (Bareiss, Math. Comp. 22, 1968): only the value of
+`det` and a solver's outputs are Fractions.
 """
 
 from fractions import Fraction
 from functools import partial
-from math import prod
+from math import lcm, prod
+
+
+def _denominator(row):
+    return lcm(*(c.denominator for c in row))
+
+
+def _integer_row(row, den):
+    """The row times ``den``, a multiple of its denominators, as ints."""
+    return [c.numerator * (den // c.denominator) for c in row]
 
 
 def _reduce(row, found):
-    """Subtract multiples of the eliminated rows so each pivot column is 0."""
-    for _, col, _, erow in found:
+    """Bareiss steps against the eliminated rows: after step k the row holds
+    (k+1)-minors (so each division is exact), zero in each pivot column."""
+    prev = 1
+    for _, col, pivot, erow in found:
         factor = row[col]
-        if factor != 0:
-            row = [a - factor * b for a, b in zip(row, erow)]
+        if factor:
+            row = [(pivot * a - factor * b) // prev for a, b in zip(row, erow)]
+        elif pivot != prev:
+            row = [pivot * a // prev for a in row]
+        prev = pivot
     return row
 
 
 def _eliminate(rows, ncols):
-    """Greedy elimination over Fraction, rows taken in input order.
+    """Greedy elimination of the rows cleared of denominators, in input order.
 
-    Returns one (row index, pivot column, pivot value, reduced row scaled to
-    pivot 1) entry per row that is independent of the rows before it; the
-    pivot is the first nonzero entry among the first ``ncols`` columns. The
-    scan stops once each of those columns holds a pivot, since no later row
-    can then be independent.
+    Returns one (row index, pivot column, pivot value, reduced integer row)
+    entry per row that is independent of the rows before it; the pivot is
+    the first nonzero entry among the first ``ncols`` columns, and the last
+    pivot value is the signed minor of the found rows on their pivot
+    columns. The scan stops once each of those columns holds a pivot.
     """
     found = []
     for i, row in enumerate(rows):
-        work = _reduce(list(row), found)
+        work = _reduce(_integer_row(row, _denominator(row)), found)
         col = next((j for j in range(ncols) if work[j] != 0), None)
         if col is None:
             continue
-        pivot = work[col]
-        inv = Fraction(1, pivot)  # exact also when the rows hold ints
-        found.append((i, col, pivot, [a * inv for a in work]))
+        found.append((i, col, work[col], work))
         if len(found) == ncols:
             break
     return found
@@ -52,20 +65,20 @@ def pivot_columns(rows):
 
 
 def rank(rows):
-    """Rank of a list of equal-length Fraction tuples."""
+    """Rank of a list of equal-length rows of ints or Fractions."""
     return len(independent_rows(rows))
 
 
 def det(rows):
-    """Determinant of a square list of Fraction tuples."""
+    """Determinant of a square list of rows of ints or Fractions."""
     found = _eliminate(rows, len(rows))
     if len(found) < len(rows):
         return Fraction(0)
-    # the reduced rows, with columns put in pivot order, form a triangular
-    # matrix with the pivot values on the diagonal
+    # the last pivot is the rows' minor on the pivot columns, rows cleared to ints
     cols = [col for _, col, _, _ in found]
     inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
-    return (-1) ** inversions * prod((pivot for _, _, pivot, _ in found), start=Fraction(1))
+    pivot = found[-1][2] if found else 1
+    return Fraction((-1) ** inversions * pivot, prod(map(_denominator, rows)))
 
 
 def solver(columns):
@@ -80,10 +93,7 @@ def solver(columns):
     n = len(columns[0]) if columns else 0
     # tag column j with the unit vector e_j; a reduced row's tag part records
     # which combination of the columns it is
-    tagged = [
-        tuple(col) + tuple(Fraction(int(i == j)) for i in range(k))
-        for j, col in enumerate(columns)
-    ]
+    tagged = [tuple(col) + tuple(int(i == j) for i in range(k)) for j, col in enumerate(columns)]
     # a partial, unlike a closure, pickles with the body that keeps it
     return partial(_solve_eliminated, _eliminate(tagged, n), k)
 
@@ -95,12 +105,14 @@ def solver_rank(solve):
 
 def _solve_eliminated(found, k, target):
     m = len(target)
-    rest = _reduce(list(target) + [Fraction(0)] * k, found)
+    den = _denominator(target)
+    rest = _reduce(_integer_row(target, den) + [0] * k, found)
     if any(a != 0 for a in rest[:m]):
         return None
     if len(found) < k:
         raise ValueError("solve() requires independent columns")
-    return tuple(-a for a in rest[m:])
+    # the reduced target is the Fraction one times den and the last pivot
+    return tuple(Fraction(-a, den * (found[-1][2] if found else 1)) for a in rest[m:])
 
 
 def solve(columns, target):

@@ -122,14 +122,13 @@ class PolynomialExpansion:
 def _memoized(fn):
     cache = {}
 
-    def wrapped(a):
+    def wrapped(*args):
         try:
-            return cache[a]
+            return cache[args]
         except TypeError:
-            return fn(a)
+            return fn(*args)
         except KeyError:
-            val = fn(a)
-            cache[a] = val
+            val = cache[args] = fn(*args)
             return val
 
     return wrapped
@@ -269,7 +268,8 @@ def extract_components(
     reversed_components = []
     for k in range(n, 0, -1):
         handle = FunctionHandle(residual, A, M)
-        evaluate = _component_maker(handle, k, base, use_domain_div)
+        # the probe and additivity checks read each argument tuple once
+        evaluate = _memoized(_component_maker(handle, k, base, use_domain_div))
         at_ones = evaluate(*((A.one,) * k))
         reversed_components.append(
             ExpansionComponent(arity=k, evaluate=evaluate, at_ones=at_ones)

@@ -208,11 +208,21 @@ def _from_ints(n, pts, scale) -> Polytope:
     handed its integer form (reduced by the gcd)."""
     g = gcd(scale, *itertools.chain.from_iterable(pts))
     kept, den = [tuple(c // g for c in p) for p in pts], scale // g
-    # one Fraction per distinct coordinate, shared by the vertices to save memory
-    value = {c: Fraction(c, den) for c in set(itertools.chain.from_iterable(kept))}
-    result = Polytope(n, tuple(tuple(value[c] for c in p) for p in kept))
+    result = Polytope(n, tuple(_vertex(p, den) for p in kept))
     vars(result)["_ints"] = (kept, den)
     return result
+
+
+# the Fraction c / den and the vertex p / den, shared by every body that uses
+# them, so that bodies allocate (and the collector traverses) no copies
+@lru_cache(maxsize=1 << 12)
+def _fraction(c, den):
+    return Fraction(c, den)
+
+
+@lru_cache(maxsize=1 << 12)
+def _vertex(p, den):
+    return tuple(_fraction(c, den) for c in p)
 
 
 def _facet_table(facets, scale, vertex_of):
@@ -221,7 +231,7 @@ def _facet_table(facets, scale, vertex_of):
     Planes are (integer normal, Fraction offset); each cycle lists vertex
     indices, point i of the hull input becoming vertex ``vertex_of[i]``.
     """
-    planes = tuple((n, Fraction(c, scale)) for n, c in facets)
+    planes = tuple((n, _fraction(c, scale)) for n, c in facets)
     cycles = tuple(tuple(vertex_of[i] for i in cyc) for cyc in facets.values())
     return planes, cycles
 
@@ -230,7 +240,7 @@ def _refit(facets, ints, scale):
     """The same normals and cycles on the body ints / scale: each plane moves
     to the first vertex of its cycle."""
     planes, cycles = facets
-    return tuple((normal, Fraction(geom.dot(normal, ints[cyc[0]]), scale))
+    return tuple((normal, _fraction(geom.dot(normal, ints[cyc[0]]), scale))
                  for (normal, _), cyc in zip(planes, cycles)), cycles
 
 
@@ -309,6 +319,10 @@ def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
     """
     if P.ambient_dim != Q.ambient_dim:
         raise DimensionMismatch("Minkowski sum of different ambient dimensions")
+    # a point summand translates the other body, which keeps its root
+    if len(P.vertices) == 1 or len(Q.vertices) == 1:
+        body, shift = (Q, P) if len(P.vertices) == 1 else (P, Q)
+        return _homothet(body, Fraction(1), shift.vertices[0])
     # both integer forms over the common scale lcm(ps, qs) = a * ps = b * qs
     (pi, ps), (qi, qs) = P._ints, Q._ints
     a, b = lcm(ps, qs) // ps, lcm(ps, qs) // qs
@@ -368,11 +382,13 @@ class SimplexBasis:
     def _partial_simplices(self):
         """(S(0..i), S(i..d)) for i = 0..d, where S(i..j) = conv(p_i, ..., p_j)
         over the partial sums p. They live as long as the basis, so the sums
-        of their dilates map from one table per pair after the first (a, b)."""
+        of their dilates map from one table per pair after the first (a, b);
+        S(0..d), the last head and the first tail, is one body."""
         sums = _partial_sums(self)
         n = self.ambient_dim
-        return tuple((_trusted(n, sums[:i + 1]), _trusted(n, sums[i:]))
-                     for i in range(len(sums)))
+        heads = [_trusted(n, sums[:i + 1]) for i in range(len(sums))]
+        tails = heads[-1:] + [_trusted(n, sums[i:]) for i in range(1, len(sums))]
+        return tuple(zip(heads, tails))
 
     @property
     def ambient_dim(self):
@@ -724,11 +740,9 @@ def standard_simplex(n: int) -> Polytope:
 
 
 def asymmetric_simplex(n: int) -> Polytope:
-    """Staircase simplex over the basis (e1, 2 e2, 3 e3, ...)."""
-    vectors = [
-        tuple(Fraction(i + 1 if j == i else 0) for j in range(n)) for i in range(n)
-    ]
-    return simplex_from_basis(SimplexBasis(tuple(vectors)))
+    """Staircase simplex over the basis (e1, 2 e2, 3 e3, ...): 0, e1, e1 + 2 e2, ..."""
+    return _trusted(n, (tuple(Fraction(j + 1 if j < i else 0) for j in range(n))
+                        for i in range(n + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from convexval import diffcalc
 from convexval import polytope as pk
 from convexval import valuations as vv
 from convexval.diffcalc import (
@@ -322,3 +323,49 @@ def test_scalar_extraction_evaluates_only_the_difference_nodes(domain, n):
         assert sorted(points) == list(range(n + 1))
     else:
         assert len(points) <= (n + 1) * (n + 2) // 2
+
+
+def _outcome(f, n):
+    """The expansion's coefficients and some component values, or the type
+    of the failure it raises."""
+    rng = random.Random(n)
+    try:
+        expansion = extract_components(f, n)
+    except ReconstructionFailure as exc:
+        return type(exc)
+    values = [comp.evaluate(*(_random_argument(rng, f.domain) for _ in range(comp.arity)))
+              for comp in expansion.components for _ in range(3)]
+    return expansion.scalar_coefficients(), values
+
+
+MEMO_CARRIERS = {
+    "qq": (QQ_NONNEG, QQ),
+    "qq-generic": (QQ_NONNEG, QQ_GENERIC),
+    "nat": (NATURALS, QQ),
+    "vector": (QQ_NONNEG, vector_group(2)),
+}
+
+
+@pytest.mark.parametrize("domain, codomain", MEMO_CARRIERS.values(), ids=MEMO_CARRIERS.keys())
+def test_memoized_extraction_matches_unmemoized_reference(domain, codomain, monkeypatch):
+    rng = random.Random(211)
+    cases = []
+    # up to degree 4: without the memo the generic recursion is exponential
+    for degree in range(4):
+        coeffs = [F(rng.randint(-9, 9), rng.choice((1, 2, 3, 5))) for _ in range(degree + 1)]
+        cases += [(poly(coeffs), degree), (poly(coeffs), degree + 1)]
+        if degree:
+            cases.append((poly(coeffs), degree - 1))  # too small a bound
+    cases += [(lambda a: 1 / (1 + F(a)), 2), (lambda a: F(abs(a - 1)), 1),
+              (lambda a: F(a) ** 5, 3)]
+    if codomain is not QQ and codomain is not QQ_GENERIC:
+        cases = [(lambda a, fn=fn: (fn(a), 2 * fn(a) - a), n) for fn, n in cases]
+    raised = 0
+    for fn, n in cases:
+        f = FunctionHandle(fn, domain, codomain)
+        memoized = _outcome(f, n)
+        with monkeypatch.context() as m:
+            m.setattr(diffcalc, "_memoized", lambda fn: fn)
+            assert _outcome(f, n) == memoized
+        raised += memoized is ReconstructionFailure
+    assert raised >= 5

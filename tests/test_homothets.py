@@ -20,6 +20,7 @@ import weakref
 from fractions import Fraction as F
 
 from convexval import polytope as pk
+from convexval.errors import DependentBasis
 
 DENOMINATORS = (1, 2, 7, 999_983, 10**6)
 FACTORS = (F(1, 3), F(2, 5), F(7, 4), F(3), F(5, 999_983))
@@ -127,8 +128,13 @@ def test_sum_of_homothets_matches_hull_of_sum_cloud(monkeypatch):
                 m.setattr(pk, "_hull_ints", _no_hull)
                 S = pk.minkowski_sum(P, Q)
             if n > 1 and pk.dim(S) == n and len(S.vertices) > n + 1:
-                # a full-dimensional sum that is no simplex carries its facets
-                assert "_facets" in vars(S)
+                # a full-dimensional sum that is no simplex carries its facets,
+                # except the translate a point summand makes, which reads them
+                # from its root
+                if min(len(P.vertices), len(Q.vertices)) == 1:
+                    assert S._root() is not S
+                else:
+                    assert "_facets" in vars(S)
                 handed2 += n == 2
             _assert_same_sum(S, cloud_sum(P, Q), rng)
             mapped += 1
@@ -137,6 +143,58 @@ def test_sum_of_homothets_matches_hull_of_sum_cloud(monkeypatch):
             full3 += n == 3 and pk.dim(S) == 3
     assert mapped == 1200 and lower_summand >= 900 and lower_result >= 300 and full3 >= 150
     assert handed2 >= 200
+
+
+def test_point_summand_sum_is_a_translate_of_the_other(monkeypatch):
+    rng = random.Random(8014)
+    lower = points = 0
+    for k in range(300):
+        n = 1 + k % 3
+        X = _body(rng, n)
+        if k % 2:
+            X = pk.translate(pk.dilate(X, rng.choice(FACTORS)), _shift(rng, n))
+        p = pk.hull([_shift(rng, n)])
+        for P, Q in ((X, p), (p, X)):
+            with monkeypatch.context() as m:
+                m.setattr(pk, "_hull_ints", _no_hull)
+                S = pk.minkowski_sum(P, Q)
+            # the other summand, or the second when both are points
+            other = Q if len(P.vertices) == 1 else P
+            assert S._root() is other._root()
+            _assert_same_sum(S, cloud_sum(P, Q), rng)
+        lower += 0 < pk.dim(X) < n
+        points += pk.dim(X) == 0
+    assert lower >= 60 and points >= 20
+
+
+def _random_basis(rng, d, n):
+    while True:
+        vectors = [[F(rng.randint(-4, 4), rng.choice((1, 2, 7, 999_983))) for _ in range(n)]
+                   for _ in range(d)]
+        try:
+            return pk.simplex_basis(vectors)
+        except DependentBasis:
+            continue
+
+
+def test_staircase_end_cells_and_dilate_are_homothets_of_the_simplex():
+    rng = random.Random(8015)
+    for k in range(60):
+        d = 1 + k % 3
+        basis = _random_basis(rng, d, rng.randint(d, 3))
+        a, b = rng.sample(FACTORS, 2)
+        S = pk.simplex_from_basis(basis)
+        pieces = pk.decomposition_pieces(basis, a, b)
+        outer = pk.dilate(S, a + b)
+        for body in (pieces.cells[0], pieces.cells[-1], outer):
+            assert body._root() is S
+        # cell 0 is b*S, cell d is a*S + b*p_d and the dilate (a+b)*S
+        top = [sum(c) for c in zip(*basis.vectors)]
+        assert pieces.cells[0] == trusted_dilate(S, b)
+        assert pieces.cells[-1] == trusted_translate(trusted_dilate(S, a), [b * c for c in top])
+        assert outer == trusted_dilate(S, a + b)
+        if k < 12:
+            assert pk.verify_decomposition(basis, a, b).ok
 
 
 def test_dilate_and_translate_equal_trusted_definitions():
@@ -205,7 +263,9 @@ def test_homothet_survives_pickle():
         root, probe = _body(rng, n), _body(rng, n)
         H = pk.translate(pk.dilate(root, rng.choice(FACTORS)), _shift(rng, n))
         pk.minkowski_sum(pk.dilate(root, 2), probe)
-        assert "_sums" in vars(root) and "_of" in vars(H)
+        # a sum with a point summand is a translate, which starts no table
+        assert ("_sums" in vars(root)) == (min(len(root.vertices), len(probe.vertices)) > 1)
+        assert "_of" in vars(H)
         expected = _answers(H, probe, random.Random(k))
         for body in (H, root):
             copy = pickle.loads(pickle.dumps(body))

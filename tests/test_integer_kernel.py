@@ -16,7 +16,7 @@ import pytest
 
 from convexval import _geometry as geom
 from convexval import polytope as pk
-from convexval.errors import DependentBasis, UnsupportedDimension
+from convexval.errors import DependentBasis, InvariantViolation, UnsupportedDimension
 
 
 def fraction_minkowski_sum(P, Q):
@@ -228,3 +228,13 @@ def test_hull_3d_is_invariant_under_integer_scaling():
         assert list(scaled) == [(normal, k * c) for normal, c in facets]
         assert list(scaled.values()) == list(facets.values())
         assert all(math.gcd(*normal) == 1 for normal, _ in facets)
+
+
+def test_facet_scan_checks_that_the_plane_supports():
+    # hull_3d checks each facet plane against every point in the scan that
+    # collects the facet's points
+    cube = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    assert sorted(geom._facet_cycle(cube, (1, 0, 0), 1)) == [4, 5, 6, 7]
+    for normal, offset in (((1, 1, 0), 1), ((-1, 0, 0), -1), ((1, 0, 0), 0)):
+        with pytest.raises(InvariantViolation, match="plane is not supporting"):
+            geom._facet_cycle(cube, normal, offset)
