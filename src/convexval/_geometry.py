@@ -6,10 +6,12 @@ big-integer arithmetic: no floats, no tolerances. Scaling the input by a
 positive integer scales the plane offsets and changes nothing else. The 3D
 hull is a gift-wrapping walk that merges coplanar points into a single facet
 polygon, which keeps degenerate inputs (Minkowski sums, boxes, grid-like
-vertex sets) exact and cheap at desk scale.
+vertex sets) exact and cheap at desk scale. One step, `_turn`, turns a
+supporting plane about a line in it to the next plane that meets the cloud:
+it finds the first facet from the plane x = min and every neighbour facet
+across an edge.
 """
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import InvariantViolation
@@ -25,10 +27,6 @@ def dot(p, q):
     if len(p) == 2:
         return p[0] * q[0] + p[1] * q[1]
     return sum(a * b for a, b in zip(p, q))
-
-
-def neg(p):
-    return tuple(-a for a in p)
 
 
 def cross2(p, q):
@@ -116,19 +114,6 @@ def _perp_vector(n):
     return (-n[1], n[0], 0)
 
 
-def _plane_through(pts, u, w, q):
-    """Supporting plane through three points, outward primitive normal."""
-    n = nx, ny, nz = primitive(cross3(sub(w, u), sub(q, u)))
-    c = dot(n, u)
-    vals = [nx * x + ny * y + nz * z for x, y, z in pts]
-    if max(vals) > c:
-        # points on both sides: not supporting either way round
-        if min(vals) < c:
-            raise InvariantViolation("plane is not supporting")
-        n, c = neg(n), -c
-    return n, c
-
-
 def _pivot(pts, u, t, n):
     """Rotate a supporting halfplane around the edge through ``u``.
 
@@ -171,72 +156,29 @@ def _facet_cycle(pts, n, c):
     return [on[i] for i in local]
 
 
+def _turn(pts, u, e, n):
+    """Turn the supporting plane with outward normal ``n`` about the line
+    through ``u`` along ``e``, towards ``t = e x n``, to the first plane that
+    meets a point off the old one. Returns that plane's primitive outward
+    normal, which leans towards ``t``."""
+    q = _pivot(pts, u, cross3(e, n), n)
+    # q lies strictly inside the old plane, so this normal has a positive t-part
+    return primitive(cross3(sub(pts[q], u), e))
+
+
 def _first_plane(pts):
-    order = range(len(pts))
-    v0 = min(order, key=lambda i: pts[i])
-    p0 = pts[v0]
-    on_min = [i for i in order if pts[i][0] == p0[0]]
-
-    if len(on_min) >= 2:
-        # wrap one step inside the supporting plane x = min to get a hull edge
-        best = bd = None
-        for i in on_min:
-            if i == v0:
-                continue
-            d = (pts[i][1] - p0[1], pts[i][2] - p0[2])
-            if best is None:
-                best, bd = i, d
-            else:
-                cr = cross2(bd, d)
-                if cr < 0 or (cr == 0 and dot(d, d) > dot(bd, bd)):
-                    best, bd = i, d
-        v1 = best
-        n_start = (-1, 0, 0)
-        c_start = -p0[0]
-        t_start = (0, bd[1], -bd[0])
-    else:
-        # v0 is the unique minimum: central projection yields a hull edge
-        rays = {}
-        for i in order:
-            if i == v0:
-                continue
-            d = sub(pts[i], p0)
-            xi = (Fraction(d[1], d[0]), Fraction(d[2], d[0]))
-            cur = rays.get(xi)
-            if cur is None or d[0] > cur[1]:
-                rays[xi] = (i, d[0])
-        v1 = rays[min(rays)][0]
-        # a supporting plane through the line (v0, v1), found in the quotient
-        a = sub(pts[v1], p0)
-        b1 = _perp_vector(a)
-        b2 = cross3(a, b1)
-        offline = []
-        for i in order:
-            d = sub(pts[i], p0)
-            xi = (dot(b1, d), dot(b2, d))
-            if xi != (0, 0):
-                offline.append(xi)
-        best = offline[0]
-        for xi in offline[1:]:
-            if cross2(best, xi) < 0:
-                best = xi
-        m = (-best[1], best[0])
-        if any(dot(m, xi) > 0 for xi in offline):
-            m = (best[1], -best[0])
-        if any(dot(m, xi) > 0 for xi in offline):
-            raise InvariantViolation("no supporting plane through the first edge")
-        n_start = tuple(m[0] * b1[k] + m[1] * b2[k] for k in range(3))
-        c_start = dot(n_start, p0)
-        t_start = cross3(a, n_start)
-
-    # if the supporting plane already holds a point off the edge line it is a
-    # facet plane itself; otherwise rotate around the edge to reach one
-    a = sub(pts[v1], p0)
-    for i, p in enumerate(pts):
-        if dot(n_start, p) == c_start and cross3(sub(p, p0), a) != (0, 0, 0):
-            return _plane_through(pts, p0, pts[v1], p)
-    q = _pivot(pts, p0, t_start, n_start)
-    return _plane_through(pts, p0, pts[v1], pts[q])
+    """A facet plane: turn the plane x = u.x, with u the least point, about
+    the z-line through u towards -y. Its points all have y >= u.y and stay
+    inside. If the plane reached meets the cloud only in a line through u,
+    that line is an edge, and turning about it reaches a facet."""
+    u = min(pts)
+    n = _turn(pts, u, (0, 0, 1), (-1, 0, 0))
+    c = dot(n, u)
+    off = [sub(p, u) for p in pts if dot(n, p) == c and p != u]
+    e = off[0]
+    if all(cross3(d, e) == (0, 0, 0) for d in off):
+        n = _turn(pts, u, e, n)
+    return n, dot(n, u)
 
 
 def hull_3d(pts):
@@ -263,17 +205,10 @@ def hull_3d(pts):
             if ekey in edges_done:
                 continue
             edges_done.add(ekey)
-            # the cycle's next vertex is off the edge line (no three collinear)
-            u, ref = pts[ui], pts[cycle[(idx + 2) % k]]
-            e = sub(pts[wi], u)
-            t = cross3(e, n)
-            if dot(t, ref) > dot(t, u):
-                t = neg(t)
-            q = _pivot(pts, u, t, n)
-            # the neighbour plane holds the edge, with ref strictly inside
-            m = primitive(cross3(e, sub(pts[q], u)))
-            c = dot(m, u)
-            nb = (m, c) if dot(m, ref) < c else (neg(m), -c)
+            # the cycle is CCW from outside, so e x n points off the facet
+            u = pts[ui]
+            m = _turn(pts, u, sub(pts[wi], u), n)
+            nb = (m, dot(m, u))
             if nb not in facets:
                 queue.append(nb)
     vertices = sorted({i for cyc in facets.values() for i in cyc})

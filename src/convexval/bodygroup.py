@@ -25,8 +25,8 @@ from typing import Optional
 
 from . import polytope as pk
 from .diffcalc import QQ_NONNEG, FunctionHandle, GroupOps, extract_components
-from .errors import InvariantViolation, ParseError, ReconstructionFailure
-from .rationals import rat, rat_str
+from .errors import GuardExceeded, InvariantViolation, ParseError, ReconstructionFailure
+from .rationals import point_str, rat
 from .valuations import evaluate_sum
 
 
@@ -88,9 +88,7 @@ class FormalSum:
             return "0"
         parts = []
         for poly, coef in self.terms:
-            body = "[" + ";".join(
-                "(" + ",".join(rat_str(c) for c in v) + ")" for v in poly.vertices
-            ) + "]"
+            body = "[" + ";".join(point_str(v) for v in poly.vertices) + "]"
             if coef == 1:
                 parts.append(body)
             elif coef == -1:
@@ -218,8 +216,11 @@ def component_table(degree: int) -> tuple:
     function to t -> dilate_class(s, t) by a group homomorphism, so applying
     the rows to the dilates of s gives the components the generic extractor
     would. Once the degree is at least the dimension of every term, the rows
-    rebuild every dilate, so no reconstruction probe is needed.
+    rebuild every dilate, so no reconstruction probe is needed. Degrees
+    above `polytope.DEGREE_GUARD` raise GuardExceeded.
     """
+    if degree > pk.DEGREE_GUARD:
+        raise GuardExceeded(f"grading degree {degree} > {pk.DEGREE_GUARD}")
     handle = FunctionHandle(lambda t: {t: 1}, QQ_NONNEG, _FACTOR_SUMS)
     expansion = extract_components(handle, degree, probes=[])
     values = [expansion.constant] + [comp.at_ones for comp in expansion.components]

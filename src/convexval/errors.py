@@ -38,7 +38,7 @@ class UnsupportedDimension(ConvexValError):
 
 
 class GuardExceeded(ConvexValError):
-    """A lattice enumeration would exceed the configured point guard."""
+    """A lattice enumeration or a grading table would exceed its guard."""
 
 
 class DivisionUnsupported(ConvexValError):

@@ -33,11 +33,16 @@ from .errors import (
     ParseError,
     UnsupportedDimension,
 )
-from .rationals import rat, rat_str
+from .rationals import point_str, rat, rat_str
 
 Point = tuple
 
 LATTICE_GUARD = 500_000
+
+# Highest degree of a grading table (`bodygroup.component_table`), whose cost
+# grows about eightfold per degree: 13 s at degree 8 and 89 s at degree 9 on
+# a 2-core Xeon.
+DEGREE_GUARD = 8
 
 # Entries kept by each module cache (`dim` here and `valuations._evaluate`);
 # the least recently used entry is dropped beyond it, so memory stays flat
@@ -72,8 +77,7 @@ class Polytope:
             raise MixedDimensions("vertex length differs from ambient dimension")
 
     def __repr__(self):
-        pts = "; ".join("(" + ",".join(rat_str(c) for c in v) + ")" for v in self.vertices)
-        return f"Polytope[{pts}]"
+        return f"Polytope[{'; '.join(point_str(v) for v in self.vertices)}]"
 
     def __eq__(self, other):
         if self is other:
@@ -546,7 +550,7 @@ def verify_decomposition(basis: SimplexBasis, a, b) -> DecompositionReport:
     for coords, x in grid:
         if not any(contains(c, x) for c in pieces.cells):
             cover_ok = False
-            failures.append(f"grid point {x} covered by no cell")
+            failures.append(f"grid point {point_str(x)} covered by no cell")
             break
 
     inside_ok = True
@@ -554,7 +558,7 @@ def verify_decomposition(basis: SimplexBasis, a, b) -> DecompositionReport:
         for x in _sample_points(cell):
             if not contains(outer, x):
                 inside_ok = False
-                failures.append(f"cell {idx} sample {x} leaves the dilate")
+                failures.append(f"cell {idx} sample {point_str(x)} leaves the dilate")
                 break
 
     seams_ok = True
@@ -589,7 +593,7 @@ def verify_decomposition(basis: SimplexBasis, a, b) -> DecompositionReport:
                     contains(pieces.cells[j], x) for j in range(i))
             if missing:
                 seams_ok = False
-                failures.append(f"overlap point {x} of cells 0..{i} missing from seam {i}")
+                failures.append(f"overlap point {point_str(x)} of cells 0..{i} missing from seam {i}")
                 break
 
     lower_ok = all(dim(s) < d for s in pieces.seams)

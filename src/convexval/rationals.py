@@ -25,3 +25,8 @@ def rat(value: int | str | Fraction) -> Fraction:
 def rat_str(value: Fraction) -> str:
     """Serialize a Fraction as "p/q", or "p" when the denominator is 1."""
     return str(Fraction(value))
+
+
+def point_str(p) -> str:
+    """Serialize a sequence of rationals as "(p/q,...)", e.g. "(2/3,2/3)"."""
+    return "(" + ",".join(rat_str(c) for c in p) + ")"

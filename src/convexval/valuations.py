@@ -30,7 +30,7 @@ from .diffcalc import (
     extract_components,
 )
 from .errors import NonInvariantOnClasses, ReconstructionFailure, WrongDimension
-from .rationals import rat_str
+from .rationals import point_str, rat_str
 
 VOLUME = "volume"
 EULER = "euler"
@@ -60,9 +60,7 @@ class ValuationDescriptor:
         if self.kind == EULER:
             return "euler"
         if self.kind == PROBE_VOLUME:
-            tag = self.label or ";".join(
-                "(" + ",".join(rat_str(c) for c in v) + ")" for v in self.probe.vertices
-            )
+            tag = self.label or ";".join(point_str(v) for v in self.probe.vertices)
             return f"probe_vol:{tag}"
         if self.kind == SUPPORT:
             return "support:" + ",".join(rat_str(c) for c in self.direction)

@@ -27,6 +27,7 @@ from .diffcalc import (
     verify_vanishing,
 )
 from .errors import DependentBasis
+from .rationals import point_str
 
 
 @dataclass
@@ -141,7 +142,7 @@ def difference_laws(seed: int, cases: int = 100) -> SuiteResult:
                 iterated_delta(f, list(perm), base) == reference
                 for perm in permutations(us)
             )
-        result.count(ok, f"order invariance broke for us={us}")
+        result.count(ok, f"order invariance broke for us={point_str(us)}")
 
     for _ in range(cases):
         f, _, _ = random_poly_fn(rng, 4)
@@ -313,12 +314,11 @@ def ehrhart_counts(max_dim: int = 3, max_dilation: int = 10) -> SuiteResult:
         cube = pk.unit_cube(d)
         counts = []
         for lam in range(max_dilation + 1):
-            got = pk.lattice_count(pk.dilate(cube, lam))
-            # brute-force oracle: integer tuples inside the box, by bounds
-            oracle = 0
-            for cand in product(range(0, lam + 1), repeat=d):
-                if all(0 <= c <= lam for c in cand):
-                    oracle += 1
+            body = pk.dilate(cube, lam)
+            got = pk.lattice_count(body)
+            # brute-force oracle: the facet test on the box widened by one,
+            # a route apart from lattice_count's line sweep
+            oracle = sum(pk.contains(body, cand) for cand in product(range(-1, lam + 2), repeat=d))
             result.count(
                 got == oracle == (lam + 1) ** d,
                 f"count mismatch d={d}, lam={lam}: {got} vs oracle {oracle}",
@@ -338,7 +338,7 @@ def ehrhart_counts(max_dim: int = 3, max_dilation: int = 10) -> SuiteResult:
         ]
         result.count(
             list(fitted) == extracted == binomials,
-            f"coefficients d={d}: fitted {fitted}, extracted {extracted}",
+            f"coefficients d={d}: fitted {point_str(fitted)}, extracted {point_str(extracted)}",
         )
     return result
 

@@ -10,7 +10,7 @@ from convexval import bodygroup as bg
 from convexval import polytope as pk
 from convexval import valuations as vv
 from convexval.diffcalc import QQ_NONNEG, FunctionHandle, extract_components
-from convexval.errors import NegativeFactor, ParseError, ReconstructionFailure
+from convexval.errors import GuardExceeded, NegativeFactor, ParseError, ReconstructionFailure
 
 SQUARE = pk.unit_cube(2)
 SEGMENT = pk.hull([(0,), (1,)])
@@ -225,6 +225,21 @@ def test_component_extraction_dilates_once_per_factor(monkeypatch):
     bg.mcmullen_components(pk.unit_cube(3))
     factors = {t for row in bg.component_table(3) for t, _ in row}
     assert sorted(calls) == sorted(factors)
+
+
+def test_component_table_refuses_degrees_above_the_guard(monkeypatch):
+    # degree 9 took about 90 s; the guard raises before extracting
+    def extract(*args, **kwargs):
+        raise AssertionError("extraction started above the degree guard")
+
+    monkeypatch.setattr(bg, "extract_components", extract)
+    assert pk.DEGREE_GUARD == 8
+    for degree in (9, 10, 100):
+        with pytest.raises(GuardExceeded):
+            bg.component_table(degree)
+    # the default degree of a box is its dimension
+    with pytest.raises(GuardExceeded):
+        bg.mcmullen_components(pk.unit_cube(9))
 
 
 def test_degree_below_dimension_raises():

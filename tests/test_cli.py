@@ -202,6 +202,15 @@ def test_exit_code_components_degree_below_dimension(body, degree, tmp_path, cap
     _assert_usage_error(["components", "--input", str(path), "--degree", degree], capsys)
 
 
+@pytest.mark.parametrize("body, degree", [("segment", ["--degree", "9"]), ("cube9", [])],
+                         ids=["segment-degree9", "cube9-default-degree"])
+def test_exit_code_components_degree_above_guard(body, degree, tmp_path, capsys):
+    path = tmp_path / f"{body}.json"
+    P = pk.hull([(0,), (1,)]) if body == "segment" else pk.unit_cube(9)
+    path.write_text(json.dumps(pk.polytope_to_obj(P)))
+    _assert_usage_error(["components", "--input", str(path)] + degree, capsys)
+
+
 def test_reconstruction_error_prints_the_probe_as_a_number(tmp_path, capsys):
     path = tmp_path / "cube.json"
     path.write_text(json.dumps(pk.polytope_to_obj(pk.unit_cube(3))))

@@ -1,5 +1,6 @@
 """Polytope kernel: hulls, sums, dilation, volume, counting, decomposition."""
 
+import collections
 import dataclasses
 import gc
 import itertools
@@ -15,6 +16,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from convexval import _geometry as geom
 from convexval import bodygroup as bg
 from convexval import polytope as pk
 from convexval import valuations as vv
@@ -224,6 +226,52 @@ def test_hull_matches_brute_force_enumeration():
             assert set(P._facets[0]) == planes == set(Q._facets[0])
             assert pk.lattice_count(P) == pk.lattice_count(Q)
     assert seeded >= 100
+
+
+def _face_cloud(rng, face):
+    """A seeded integer cloud in R^3 whose least point lies alone on the
+    plane x = min (``face`` "point"), on a segment of it or on a polygon."""
+    while True:
+        g = rng.randint(1, 3)
+        y, z = rng.randint(0, g), rng.randint(0, g)
+        if face == "point":
+            on = [(0, y, z)]
+        elif face == "segment":
+            dy, dz = rng.choice([(0, 1), (1, 0), (1, 1), (1, -1), (2, 1), (1, 2)])
+            on = [(0, y + k * dy, z + k * dz) for k in range(rng.randint(2, 4))]
+        else:
+            on = [(0, rng.randint(0, g), rng.randint(0, g)) for _ in range(rng.randint(3, 8))]
+        pts = list(dict.fromkeys(on + [tuple(rng.randint(lo, g + 1) for lo in (1, 0, 0))
+                                        for _ in range(rng.randint(1, 9))]))
+        diffs = [tuple(a - b for a, b in zip(p, pts[0])) for p in pts[1:]]
+        face_diffs = [d for d in diffs if d[0] == 0]
+        full = any(det3_oracle(*t) != 0 for t in itertools.combinations(diffs, 3))
+        shaped = face != "polygon" or any(d[1] * e[2] != d[2] * e[1]
+                                          for d, e in itertools.combinations(face_diffs, 2))
+        if full and shaped:
+            rng.shuffle(pts)
+            return pts
+
+
+def test_hull_start_on_each_shape_of_the_face_x_min(monkeypatch):
+    rng = random.Random(1616)
+    turns = []
+    real_turn = geom._turn
+    monkeypatch.setattr(geom, "_turn", lambda *args: turns.append(args) or real_turn(*args))
+    outcomes = collections.Counter()
+    for face in ("point", "segment", "polygon"):
+        for _ in range(60):
+            pts = _face_cloud(rng, face)
+            turns.clear()
+            geom._first_plane(pts)
+            # one turn reaches a facet, or an edge that a second turn leaves
+            outcomes[face, len(turns)] += 1
+            facets, vertices = geom.hull_3d(pts)
+            planes, brute_vertices = brute_hull3(pts)
+            assert {(n, F(c)) for n, c in facets} == planes, pts
+            assert {pts[i] for i in vertices} == brute_vertices, pts
+    assert all(outcomes[face, k] >= 5 for face in ("point", "segment", "polygon")
+               for k in (1, 2)), outcomes
 
 
 def test_hash_and_pickle_with_derived_data():
@@ -707,6 +755,27 @@ def test_verify_decomposition_catches_shrunken_seams(vectors, a, b):
     report = pk.verify_decomposition(basis, a, b)
     assert not report.seams_match and report.seams_lower_dim
     assert report.failures and "missing from seam" in report.failures[0]
+    assert "Fraction(" not in report.failures[0]
+    # tampered pieces, each with the checks it fails; a cell replaced by a
+    # dilate, a seam moved off its slice, a full-dimensional seam
+    cells, seams = pieces.cells, pieces.seams
+    shift = (F(1, 3),) + (0,) * (len(vectors) - 1)
+    tampered = [
+        ({"cells": (pk.dilate(cells[0], F(1, 2)),) + cells[1:]},
+         {"volume_additive", "cover", "seams_match"}),
+        ({"cells": (cells[0], pk.dilate(cells[1], 2)) + cells[2:]},
+         {"volume_additive", "cover", "cells_inside", "seams_match"}),
+        ({"seams": (pk.translate(seams[0], shift),) + seams[1:]}, {"seams_match"}),
+        ({"seams": (cells[1],) + seams[1:]}, {"seams_match", "seams_lower_dim"}),
+    ]
+    checks = [f.name for f in dataclasses.fields(report) if f.name != "failures"]
+    for change, failed in tampered:
+        basis._pieces[(a, b)] = dataclasses.replace(pieces, **change)
+        report = pk.verify_decomposition(basis, a, b)
+        assert {name for name in checks if not getattr(report, name)} == failed
+        assert not any("Fraction(" in msg for msg in report.failures), report.failures
+        if failed == {"seams_match"}:
+            assert report.failures[0] == "seam 1 sample off the slice x_1 = b"
 
 
 def test_verify_decomposition_random_bases():
@@ -788,7 +857,7 @@ reversed_edges = pk.hull([(0, 0), (2, 0), (2, 1), (0, 2)])
 planes, cycles = reversed_edges._facets
 vars(reversed_edges)["_facets"] = planes, tuple(cycle[::-1] for cycle in cycles)
 calls = [
-    lambda: geom._plane_through(cube, (0, 0, 0), (1, 1, 0), (0, 1, 1)),
+    lambda: geom._facet_cycle(cube, (1, 1, 0), 1),
     lambda: pk.volume(reversed_edges),
 ]
 for call in calls:
