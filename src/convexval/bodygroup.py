@@ -289,6 +289,11 @@ class CheckRow:
     detail: str = ""
 
 
+# equal rows are one object: the same check passing on another body repeats
+# its row, and a caller that keeps many reports would keep a copy of each
+_check_row = lru_cache(maxsize=1 << 10, typed=True)(CheckRow)
+
+
 @dataclass(frozen=True)
 class Report:
     title: str
@@ -319,7 +324,7 @@ def verify_idempotence(P: pk.Polytope, panel, degree: int | None = None) -> Repo
             detail = "" if cmp.equal_on_panel else (
                 f"{cmp.witness}: {cmp.left} != {cmp.right}"
             )
-            rows.append(CheckRow(f"e_{i} of e_{j}", cmp.equal_on_panel, detail))
+            rows.append(_check_row(f"e_{i} of e_{j}", cmp.equal_on_panel, detail))
     return Report("idempotence", tuple(rows))
 
 
@@ -336,7 +341,7 @@ def verify_homogeneity(P: pk.Polytope, factor, panel) -> Report:
             left = evaluate_sum(val, dilated[i])
             right = expected_scale * evaluate_sum(val, base[i])
             rows.append(
-                CheckRow(
+                _check_row(
                     f"degree {i} under {val.key()}",
                     left == right,
                     "" if left == right else f"{left} != {right}",
@@ -364,7 +369,7 @@ def simplex_identity_as_classes(basis: pk.SimplexBasis, a, b, panel) -> Report:
         left = evaluate_sum(val, lhs)
         right = evaluate_sum(val, rhs)
         rows.append(
-            CheckRow(
+            _check_row(
                 val.key(), left == right, "" if left == right else f"{left} != {right}"
             )
         )

@@ -65,6 +65,10 @@ class Polytope:
     decided on their integer forms. Data derived from the vertices is
     computed on first use and kept on the instance; a positive homothet
     reads it from its root, the body it was mapped from, while that lives.
+    Roots are interned: while a root lives, `hull` and the trusted
+    constructors return it for every input with its integer form, so equal
+    inputs share its derived data and its sum tables. Homothets, sums mapped
+    from a table and bodies built by calling `Polytope` are not interned.
     """
 
     ambient_dim: int
@@ -151,8 +155,9 @@ class Polytope:
 
 
 def _trusted(ambient_dim, vertices) -> Polytope:
-    """Canonicalize a set of points already known to be extreme."""
-    return Polytope(ambient_dim, tuple(sorted(set(vertices))))
+    """The root whose vertices are a set of points already known to be extreme."""
+    ints, scale = geom.integerize(set(vertices))
+    return _interned(ambient_dim, sorted(ints), scale)
 
 
 def hull(points) -> Polytope:
@@ -177,8 +182,9 @@ _HULL_FACETS = {2: geom.facets_2d, 3: geom.hull_3d}
 
 def _hull_ints(n, ints, scale) -> Polytope:
     """The hull of the points ints[i] / scale, computed on the integers, which
-    sort like the points; the result is handed its integer form and, when
-    full-dimensional in R^2 or R^3, the facets found.
+    sort like the points; the result is the interned root, which is handed
+    its integer form and, when full-dimensional in R^2 or R^3 and it has
+    none yet, the facets found.
     """
     uniq = sorted(set(ints))
     cols = _linalg.pivot_columns([geom.sub(p, uniq[0]) for p in uniq[1:]])
@@ -200,8 +206,8 @@ def _hull_ints(n, ints, scale) -> Polytope:
         # which points are extreme
         coords = uniq if r == n else [tuple(p[c] for c in sorted(cols)) for p in uniq]
         facets, keep = _HULL_FACETS[r](coords)
-    result = _from_ints(n, [uniq[i] for i in keep], scale)
-    if facets is not None and r == n:
+    result = _interned(n, [uniq[i] for i in keep], scale)
+    if facets is not None and r == n and "_facets" not in vars(result):
         # ``keep`` is sorted, so vertex j of the result is point keep[j]
         vars(result)["_facets"] = _facet_table(facets, scale, {i: j for j, i in enumerate(keep)})
     return result
@@ -210,11 +216,32 @@ def _hull_ints(n, ints, scale) -> Polytope:
 def _from_ints(n, pts, scale) -> Polytope:
     """The body whose vertices are the sorted distinct points pts[i] / scale,
     handed its integer form (reduced by the gcd)."""
-    g = gcd(scale, *itertools.chain.from_iterable(pts))
-    kept, den = [tuple(c // g for c in p) for p in pts], scale // g
+    kept, den = _reduced(pts, scale)
     result = Polytope(n, tuple(_vertex(p, den) for p in kept))
     vars(result)["_ints"] = (kept, den)
     return result
+
+
+def _reduced(pts, scale):
+    """(ints, den): the points pts[i] / scale with the gcd of all divided out."""
+    g = gcd(scale, *itertools.chain.from_iterable(pts))
+    return ([tuple(c // g for c in p) for p in pts] if g > 1 else list(pts)), scale // g
+
+
+# the live root of each reduced integer form (ambient_dim, ints, den), held
+# weakly: the table keeps no body alive
+_ROOTS = weakref.WeakValueDictionary()
+
+
+def _interned(n, pts, scale) -> Polytope:
+    """The live root with the reduced integer form of pts / scale, else a new
+    body from `_from_ints`, which becomes that root."""
+    ints, den = _reduced(pts, scale)
+    key = (n, tuple(ints), den)
+    body = _ROOTS.get(key)
+    if body is None:
+        body = _ROOTS[key] = _from_ints(n, ints, den)
+    return body
 
 
 # the Fraction c / den and the vertex p / den, shared by every body that uses
@@ -277,7 +304,7 @@ def dim(P: Polytope) -> int:
 
 
 def origin_polytope(n: int) -> Polytope:
-    return Polytope(n, ((Fraction(0),) * n,))
+    return _interned(n, [(0,) * n], 1)
 
 
 def _homothet(P: Polytope, t: Fraction, s) -> Polytope:
@@ -387,12 +414,10 @@ class SimplexBasis:
         """(S(0..i), S(i..d)) for i = 0..d, where S(i..j) = conv(p_i, ..., p_j)
         over the partial sums p. They live as long as the basis, so the sums
         of their dilates map from one table per pair after the first (a, b);
-        S(0..d), the last head and the first tail, is one body."""
+        S(0..d), the last head and the first tail, is one interned root."""
         sums = _partial_sums(self)
         n = self.ambient_dim
-        heads = [_trusted(n, sums[:i + 1]) for i in range(len(sums))]
-        tails = heads[-1:] + [_trusted(n, sums[i:]) for i in range(1, len(sums))]
-        return tuple(zip(heads, tails))
+        return tuple((_trusted(n, sums[:i + 1]), _trusted(n, sums[i:])) for i in range(len(sums)))
 
     @property
     def ambient_dim(self):
@@ -537,18 +562,24 @@ def verify_decomposition(basis: SimplexBasis, a, b) -> DecompositionReport:
     if not vol_ok:
         failures.append("cell volumes do not sum to the dilate volume")
 
+    def inside(x):
+        """The membership test of the point x, converted to integers once."""
+        form = geom.integerize([x])
+        return lambda P: _holds(P, x, form)
+
     def at(coords):
-        """(coords, x) for staircase coordinates t: x = t_1 v_1 + ... + t_d v_d."""
-        return coords, tuple(sum((t * v[j] for t, v in zip(coords, basis.vectors)), Fraction(0))
-                             for j in range(basis.ambient_dim))
+        """(coords, x, test) for staircase coordinates t: x = t_1 v_1 + ... + t_d v_d."""
+        x = tuple(sum((t * v[j] for t, v in zip(coords, basis.vectors)), Fraction(0))
+                  for j in range(basis.ambient_dim))
+        return coords, x, inside(x)
 
     # rational grid in staircase coordinates: (a+b) >= t_1 >= ... >= t_d >= 0
     steps = [Fraction(k, GRID_STEPS) * (av + bv) for k in range(GRID_STEPS, -1, -1)]
     grid = [at(c) for c in itertools.combinations_with_replacement(steps, d)]
 
     cover_ok = True
-    for coords, x in grid:
-        if not any(contains(c, x) for c in pieces.cells):
+    for coords, x, test in grid:
+        if not any(test(c) for c in pieces.cells):
             cover_ok = False
             failures.append(f"grid point {point_str(x)} covered by no cell")
             break
@@ -556,7 +587,7 @@ def verify_decomposition(basis: SimplexBasis, a, b) -> DecompositionReport:
     inside_ok = True
     for idx, cell in enumerate(pieces.cells):
         for x in _sample_points(cell):
-            if not contains(outer, x):
+            if not inside(x)(outer):
                 inside_ok = False
                 failures.append(f"cell {idx} sample {point_str(x)} leaves the dilate")
                 break
@@ -570,9 +601,8 @@ def verify_decomposition(basis: SimplexBasis, a, b) -> DecompositionReport:
                 seams_ok = False
                 failures.append(f"seam {i} sample off the slice x_{i} = b")
                 break
-            if not contains(pieces.cells[i], x) or not any(
-                contains(pieces.cells[j], x) for j in range(i)
-            ):
+            test = inside(x)
+            if not test(pieces.cells[i]) or not any(test(pieces.cells[j]) for j in range(i)):
                 seams_ok = False
                 failures.append(f"seam {i} sample outside the adjacent cells")
                 break
@@ -585,12 +615,11 @@ def verify_decomposition(basis: SimplexBasis, a, b) -> DecompositionReport:
         on_slice = [at(head + (bv,) + tail)
                     for head in itertools.combinations_with_replacement(above, i - 1)
                     for tail in itertools.combinations_with_replacement(below, d - i)]
-        for coords, x in grid + on_slice:
+        for coords, x, test in grid + on_slice:
             if coords[i - 1] == bv:
-                missing = not contains(seam, x)
+                missing = not test(seam)
             else:
-                missing = contains(pieces.cells[i], x) and any(
-                    contains(pieces.cells[j], x) for j in range(i))
+                missing = test(pieces.cells[i]) and any(test(pieces.cells[j]) for j in range(i))
             if missing:
                 seams_ok = False
                 failures.append(f"overlap point {point_str(x)} of cells 0..{i} missing from seam {i}")
@@ -619,6 +648,12 @@ def contains(P: Polytope, x) -> bool:
     xv = point(x)
     if len(xv) != P.ambient_dim:
         raise DimensionMismatch("point has wrong dimension")
+    return _holds(P, xv)
+
+
+def _holds(P: Polytope, xv, form=None) -> bool:
+    """`contains` for an exact point xv of P's dimension; ``form`` is its
+    integer form ([X], den) when the caller has it already."""
     if len(P.vertices) == 1:
         return xv == P.vertices[0]
     d = dim(P)
@@ -636,7 +671,7 @@ def contains(P: Polytope, x) -> bool:
                 return all(l <= c <= h for l, c, h in zip(lo, xv, hi))
             raise UnsupportedDimension(f"membership in dimension {n}")
         # n.x <= rhs with x = X / den and rhs = p / q reads n.X * q <= p * den
-        (X,), den = geom.integerize([xv])
+        (X,), den = form or geom.integerize([xv])
         return all(
             geom.dot(normal, X) * rhs.denominator <= rhs.numerator * den
             for normal, rhs in P._facets[0]
@@ -732,21 +767,16 @@ def lattice_count(P: Polytope) -> int:
 
 
 def unit_cube(n: int) -> Polytope:
-    return _trusted(n, (tuple(Fraction(b) for b in bits)
-                        for bits in itertools.product((0, 1), repeat=n)))
+    return _interned(n, list(itertools.product((0, 1), repeat=n)), 1)
 
 
 def standard_simplex(n: int) -> Polytope:
-    verts = [(Fraction(0),) * n]
-    for i in range(n):
-        verts.append(tuple(Fraction(1 if j == i else 0) for j in range(n)))
-    return _trusted(n, verts)
+    return _interned(n, sorted(tuple(int(j == i) for j in range(n)) for i in range(-1, n)), 1)
 
 
 def asymmetric_simplex(n: int) -> Polytope:
     """Staircase simplex over the basis (e1, 2 e2, 3 e3, ...): 0, e1, e1 + 2 e2, ..."""
-    return _trusted(n, (tuple(Fraction(j + 1 if j < i else 0) for j in range(n))
-                        for i in range(n + 1)))
+    return _interned(n, [tuple(j + 1 if j < i else 0 for j in range(n)) for i in range(n + 1)], 1)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,11 @@ def rat(value: int | str | Fraction) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            # its own message would be a repr, "Fraction(1, 0)"
+            raise ZeroDivisionError("zero denominator") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 

@@ -135,10 +135,10 @@ def evaluate_sum(val: ValuationDescriptor, s) -> Fraction:
             f"{val.key()} is not translation-invariant and cannot act on "
             "translation classes"
         )
-    total = Fraction(0)
-    for rep, coef in s.terms:
-        total += coef * evaluate(val, rep)
-    return total
+    # the terms add over the lcm of their denominators, into one Fraction
+    values = [(coef, evaluate(val, rep)) for rep, coef in s.terms]
+    den = lcm(*(v.denominator for _, v in values))
+    return Fraction(sum(coef * v.numerator * (den // v.denominator) for coef, v in values), den)
 
 
 def expansion_of_dilation(

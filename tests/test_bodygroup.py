@@ -333,6 +333,20 @@ def test_homogeneity_reports():
         assert bg.verify_homogeneity(SQUARE, lam, PANEL2).ok
 
 
+def test_equal_report_rows_are_one_object():
+    # a kept report holds shared rows, so many kept reports cost little
+    triangle = pk.hull([(0, 0), (3, 0), (0, F(1, 2))])
+    a = bg.verify_homogeneity(SQUARE, 2, PANEL2)
+    b = bg.verify_homogeneity(triangle, F(1, 2), PANEL2)
+    assert a.ok and b.ok and len(a.rows) == len(b.rows) == 3 * len(PANEL2)
+    assert all(x is y for x, y in zip(a.rows, b.rows))
+    # rows that differ in any field stay distinct, and ok keeps its type
+    rows = [bg._check_row("r", ok, detail) for ok in (True, False, 1, 0) for detail in ("", "x")]
+    assert len({id(row) for row in rows}) == 8
+    assert [type(row.ok) for row in rows] == [bool] * 4 + [int] * 4
+    assert bg._check_row("r", True, "") is rows[0]
+
+
 def test_homogeneity_volume_row_frozen():
     # vol(e_2[2X]) = 2*vol(2X) - 4*vol(X) + 0 = 8 - 4 = 4 = 2^2 * vol(e_2[X])
     comps = bg.mcmullen_components(pk.dilate(SQUARE, 2), degree=2)

@@ -211,6 +211,21 @@ def test_exit_code_components_degree_above_guard(body, degree, tmp_path, capsys)
     _assert_usage_error(["components", "--input", str(path)] + degree, capsys)
 
 
+@pytest.mark.parametrize("source", ["input-vertex", "decompose-a"])
+def test_exit_code_zero_denominator_names_it(source, tmp_path, capsys):
+    if source == "input-vertex":
+        path = tmp_path / "f.json"
+        path.write_text('{"dim": 1, "vertices": [["1/0"], ["1"]]}')
+        argv = ["expand", "--input", str(path)]
+    else:
+        argv = ["decompose", "--basis", "1,0;0,1", "--a", "1/0"]
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "zero denominator" in err
+    assert "Fraction(" not in err
+
+
 def test_reconstruction_error_prints_the_probe_as_a_number(tmp_path, capsys):
     path = tmp_path / "cube.json"
     path.write_text(json.dumps(pk.polytope_to_obj(pk.unit_cube(3))))

@@ -20,6 +20,7 @@ import weakref
 from fractions import Fraction as F
 
 from convexval import polytope as pk
+from convexval import valuations as vv
 from convexval.errors import DependentBasis
 
 DENOMINATORS = (1, 2, 7, 999_983, 10**6)
@@ -226,13 +227,18 @@ def _answers(H, probe, rng):
 
 
 def test_root_dies_once_only_homothets_are_left():
+    # the module caches of earlier tests may hold a body equal to a root
+    # built here, which hull then returns as that root, alive
+    pk.dim.cache_clear()
+    vv._evaluate.cache_clear()
     rng = random.Random(8010)
     for k in range(40):
         n = 1 + k % 3
         root, probe = _body(rng, n), _body(rng, n)
         if k % 2:
-            # a root with no derived data yet, so its homothets carry none
-            root = pk._trusted(n, root.vertices)
+            # a root with no derived data yet, so its homothets carry none;
+            # the constructor does not intern, so this is a new body
+            root = pk.Polytope(n, root.vertices)
         moves = [(rng.choice(FACTORS), _shift(rng, n)) for _ in range(4)]
         homothets = [pk.translate(pk.dilate(root, t), s) for t, s in moves]
         # the first two answer while the root lives, so they read its data
@@ -284,8 +290,9 @@ def test_equality_agrees_with_vertex_tuples():
         verts = [list(v) for v in P.vertices]
         i, j = rng.randrange(len(verts)), rng.randrange(n)
         verts[i][j] += rng.choice((F(1), F(1, 2), F(1, 10**6), F(0)))
-        same = pk._trusted(n, P.vertices)
-        other = pk._trusted(n, map(tuple, verts))
+        # the constructor does not intern, so an equal body is a distinct object
+        same = pk.Polytope(n, P.vertices)
+        other = pk.Polytope(n, tuple(sorted(set(map(tuple, verts)))))
         moved = pk.translate(pk.dilate(P, rng.choice(FACTORS)), _shift(rng, n))
         for A, B in ((P, same), (same, P), (P, other), (other, P), (P, moved), (moved, P)):
             assert A is not B

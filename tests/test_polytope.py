@@ -717,13 +717,15 @@ def test_staircase_simplex_hulled_at_the_first_scales_only(monkeypatch):
 
         monkeypatch.setattr(pk, name, wrapper)
 
-    count_hulls_on_homothets("contains")
+    # `_holds` is the membership test behind `contains`, which
+    # verify_decomposition calls directly on points converted once
+    count_hulls_on_homothets("_holds")
     count_hulls_on_homothets("minkowski_sum")
     for a, b in vs.AB_PAIRS:
-        counts.append({"contains": 0, "minkowski_sum": 0})
+        counts.append({"_holds": 0, "minkowski_sum": 0})
         assert pk.verify_decomposition(basis, a, b).ok
         assert bg.simplex_identity_as_classes(basis, a, b, panel).ok
-    first, later = {"contains": 1, "minkowski_sum": 1}, {"contains": 0, "minkowski_sum": 0}
+    first, later = {"_holds": 1, "minkowski_sum": 1}, {"_holds": 0, "minkowski_sum": 0}
     assert counts == [first, later, later]
 
 

@@ -64,6 +64,24 @@ def test_evaluate_sum_linearity():
     assert vv.evaluate_sum(vv.volume_valuation(), s3) == 1
 
 
+def test_evaluate_sum_matches_the_termwise_fraction_sum():
+    # the reference adds coef * value term by term in Fractions; the sums
+    # mix denominators up to 10^6, negative coefficients and the empty sum
+    rng = random.Random(1807)
+    for n in (1, 2, 3):
+        bodies = [pk.hull([tuple(F(rng.randint(-9, 9), rng.choice((1, 2, 7, 10**6)))
+                                 for _ in range(n)) for _ in range(n + 2)]) for _ in range(6)]
+        vals = vv.default_panel(n)
+        for _ in range(20):
+            s = bg.FormalSum.zero()
+            for _ in range(rng.randint(0, 4)):
+                s = s + rng.choice((-3, -1, 1, 2, 5)) * bg.class_of(rng.choice(bodies))
+            for val in vals:
+                want = sum((coef * vv.evaluate(val, rep) for rep, coef in s.terms), F(0))
+                got = vv.evaluate_sum(val, s)
+                assert type(got) is F and got == want
+
+
 def test_evaluate_sum_rejects_non_invariant():
     s = bg.class_of(SQUARE)
     with pytest.raises(NonInvariantOnClasses):
