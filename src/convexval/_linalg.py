@@ -64,11 +64,6 @@ def pivot_columns(rows):
     return [col for _, col, _, _ in _eliminate(rows, len(rows[0]) if rows else 0)]
 
 
-def rank(rows):
-    """Rank of a list of equal-length rows of ints or Fractions."""
-    return len(independent_rows(rows))
-
-
 def det(rows):
     """Determinant of a square list of rows of ints or Fractions."""
     found = _eliminate(rows, len(rows))

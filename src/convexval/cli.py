@@ -96,6 +96,13 @@ def _parse_basis(text: str) -> pk.SimplexBasis:
         raise ParseError(f"--basis: {exc}") from exc
 
 
+def _named_probe(name: str, ambient: int) -> pk.Polytope:
+    maker = vv.NAMED_PROBES.get(name)
+    if maker is None:
+        raise ParseError(f"unknown probe {name!r}; choose from {sorted(vv.NAMED_PROBES)}")
+    return maker(ambient)
+
+
 def _parse_valuation(token: str, ambient: int) -> vv.ValuationDescriptor:
     token = token.strip()
     if token == "volume":
@@ -104,10 +111,7 @@ def _parse_valuation(token: str, ambient: int) -> vv.ValuationDescriptor:
         return vv.euler_valuation()
     if token.startswith("probe:"):
         name = token.split(":", 1)[1]
-        maker = vv.NAMED_PROBES.get(name)
-        if maker is None:
-            raise ParseError(f"unknown probe {name!r}; choose from {sorted(vv.NAMED_PROBES)}")
-        return vv.probe_volume(maker(ambient), name)
+        return vv.probe_volume(_named_probe(name, ambient), name)
     raise ParseError(f"unknown valuation {token!r}")
 
 
@@ -163,12 +167,7 @@ def _one_input(args) -> str:
 def _cmd_expand(args) -> tuple[int, dict]:
     P, notices = parse_polytope_with_notices(_one_input(args))
     val = _parse_valuation(args.valuation, P.ambient_dim)
-    probe = None
-    if args.probe is not None:
-        maker = vv.NAMED_PROBES.get(args.probe)
-        if maker is None:
-            raise ParseError(f"unknown probe {args.probe!r}")
-        probe = maker(P.ambient_dim)
+    probe = None if args.probe is None else _named_probe(args.probe, P.ambient_dim)
     expansion = vv.expansion_of_dilation(val, P, probe=probe, degree=args.degree)
     coeffs = expansion.scalar_coefficients()
     report = {

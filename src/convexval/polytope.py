@@ -4,7 +4,8 @@ A `Polytope` stores the extreme points of its convex hull, sorted
 lexicographically, with every coordinate an exact `Fraction`. All operations
 (dilation, translation, Minkowski sum, volume, membership, lattice counting)
 are exact; there is no floating point anywhere in this module. Hulls, sums,
-volumes and membership work on each body's integer form, `Polytope._ints`.
+volumes, membership and lattice counts work on each body's integer form,
+`Polytope._ints`.
 
 General-position bodies are supported up to ambient dimension 3. Simplices
 get closed forms in any dimension, and axis-aligned boxes beyond dimension 3.
@@ -17,7 +18,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import ceil, factorial, floor, gcd, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 from . import _geometry as geom
 from . import _linalg
@@ -116,19 +117,26 @@ class Polytope:
 
     @cached_property
     def _facets(self):
-        """(planes, cycles) of a full-dimensional body in R^1..R^3: outward
-        planes n.x <= rhs (integer normal, Fraction rhs) and the vertex-index
-        cycle of each facet, an end point in R^1, a CCW edge in R^2 and a
-        polygon, CCW from outside, in R^3."""
-        ints, scale = self._ints
+        """(normals, cycles) of a full-dimensional body in R^1..R^3: the
+        primitive outward normal of each facet and its vertex-index cycle,
+        an end point in R^1, a CCW edge in R^2 and a polygon, CCW from
+        outside, in R^3. Positive homothets share them; `_offsets` places
+        each body's planes."""
         root = self._root()
         if root is not self:
-            return _refit(root._facets, ints, scale)
+            return root._facets
+        ints, _ = self._ints
         if self.ambient_dim == 1:
-            facets = {((-1,), -ints[0][0]): (0,), ((1,), ints[-1][0]): (len(ints) - 1,)}
-        else:
-            facets, _ = _HULL_FACETS[self.ambient_dim](ints)
-        return _facet_table(facets, scale, range(len(ints)))
+            return ((-1,), (1,)), ((0,), (len(ints) - 1,))
+        facets, _ = _HULL_FACETS[self.ambient_dim](ints)
+        return _facet_table(facets, range(len(ints)))
+
+    @cached_property
+    def _offsets(self):
+        """The integer c of each facet plane n.x <= c / scale, with scale
+        from `_ints`: the normal's value at the first vertex of the cycle."""
+        ints, _ = self._ints
+        return tuple(geom.dot(normal, ints[cycle[0]]) for normal, cycle in zip(*self._facets))
 
     @cached_property
     def _span(self):
@@ -209,7 +217,7 @@ def _hull_ints(n, ints, scale) -> Polytope:
     result = _interned(n, [uniq[i] for i in keep], scale)
     if facets is not None and r == n and "_facets" not in vars(result):
         # ``keep`` is sorted, so vertex j of the result is point keep[j]
-        vars(result)["_facets"] = _facet_table(facets, scale, {i: j for j, i in enumerate(keep)})
+        vars(result)["_facets"] = _facet_table(facets, {i: j for j, i in enumerate(keep)})
     return result
 
 
@@ -256,23 +264,13 @@ def _vertex(p, den):
     return tuple(_fraction(c, den) for c in p)
 
 
-def _facet_table(facets, scale, vertex_of):
-    """(planes, cycles) from hull facets on points scaled by ``scale``.
-
-    Planes are (integer normal, Fraction offset); each cycle lists vertex
-    indices, point i of the hull input becoming vertex ``vertex_of[i]``.
-    """
-    planes = tuple((n, _fraction(c, scale)) for n, c in facets)
+def _facet_table(facets, vertex_of):
+    """(normals, cycles) from hull facets keyed by (normal, offset); each
+    cycle lists vertex indices, point i of the hull input becoming vertex
+    ``vertex_of[i]``."""
+    normals = tuple(normal for normal, _ in facets)
     cycles = tuple(tuple(vertex_of[i] for i in cyc) for cyc in facets.values())
-    return planes, cycles
-
-
-def _refit(facets, ints, scale):
-    """The same normals and cycles on the body ints / scale: each plane moves
-    to the first vertex of its cycle."""
-    planes, cycles = facets
-    return tuple((normal, _fraction(geom.dot(normal, ints[cyc[0]]), scale))
-                 for (normal, _), cyc in zip(planes, cycles)), cycles
+    return normals, cycles
 
 
 def _box_corners(pts):
@@ -311,7 +309,7 @@ def _homothet(P: Polytope, t: Fraction, s) -> Polytope:
     """t * P + s for t > 0, on the integer form.
 
     The map keeps the vertex order, so the result has P's span, facet
-    normals and cycles; it holds P's root by weak reference to read them.
+    normals and cycles; it holds P's root by weak reference to share them.
     """
     ints, scale = P._ints
     (sv,), ds = geom.integerize([s])
@@ -378,10 +376,9 @@ def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
     result = _from_ints(P.ambient_dim, [pts[k] for k in order], a * ps)
     if facets is not None:
         # the table's vertex k is vertex where[k] of the result
-        planes, cycles = facets
+        normals, cycles = facets
         where = {k: r for r, k in enumerate(order)}
-        cycles = tuple(tuple(where[k] for k in cyc) for cyc in cycles)
-        vars(result)["_facets"] = _refit((planes, cycles), *result._ints)
+        vars(result)["_facets"] = normals, tuple(tuple(where[k] for k in cyc) for cyc in cycles)
     return result
 
 
@@ -670,12 +667,11 @@ def _holds(P: Polytope, xv, form=None) -> bool:
                 lo, hi = P.vertices[0], P.vertices[-1]
                 return all(l <= c <= h for l, c, h in zip(lo, xv, hi))
             raise UnsupportedDimension(f"membership in dimension {n}")
-        # n.x <= rhs with x = X / den and rhs = p / q reads n.X * q <= p * den
+        # n.x <= c / scale with x = X / den reads n.X * scale <= c * den
         (X,), den = form or geom.integerize([xv])
-        return all(
-            geom.dot(normal, X) * rhs.denominator <= rhs.numerator * den
-            for normal, rhs in P._facets[0]
-        )
+        scale = P._ints[1]
+        return all(geom.dot(normal, X) * scale <= c * den
+                   for normal, c in zip(P._facets[0], P._offsets))
     origin, solve, reduced = P._frame
     coords = solve(geom.sub(xv, origin))
     if coords is None:
@@ -688,19 +684,17 @@ def volume(P: Polytope) -> Fraction:
     n = P.ambient_dim
     if dim(P) < n:
         return Fraction(0)
-    if n == 1:
-        return max(v[0] for v in P.vertices) - min(v[0] for v in P.vertices)
-    if len(P.vertices) == n + 1:
-        base = P.vertices[0]
-        rows = [tuple(a - b for a, b in zip(v, base)) for v in P.vertices[1:]]
-        return abs(_linalg.det(rows)) / factorial(n)
     ints, scale = P._ints
+    if len(ints) == n + 1:
+        # a simplex, a segment in R^1 included
+        rows = [geom.sub(p, ints[0]) for p in ints[1:]]
+        return abs(_linalg.det(rows)) / (factorial(n) * scale ** n)
     if n > 3:
-        # no facet table beyond R^3: only a box has a closed form
+        # no facet table beyond R^3: only a box has a closed form, from its
+        # least and greatest corners
         if _box_corners(ints) is None:
             raise UnsupportedDimension(f"volume of a general body in dimension {n}")
-        lo, hi = P.vertices[0], P.vertices[-1]
-        return prod((h - l for l, h in zip(lo, hi)), start=Fraction(1))
+        return Fraction(prod(h - l for l, h in zip(ints[0], ints[-1])), scale ** n)
     # n! times the signed volumes of the simplices joining vertex o to each
     # edge (R^2) or to a fan triangulation of each facet polygon (R^3)
     _, cycles = P._facets
@@ -716,7 +710,7 @@ def volume(P: Polytope) -> Fraction:
                 total += geom.dot(a, geom.cross3(rel[b], rel[c]))
     if total < 0:
         raise InvariantViolation("negative volume from facet cycles")
-    return Fraction(total, factorial(n)) / scale ** n
+    return Fraction(total, factorial(n) * scale ** n)
 
 
 def lattice_count(P: Polytope) -> int:
@@ -729,8 +723,9 @@ def lattice_count(P: Polytope) -> int:
     n = P.ambient_dim
     if n > 3:
         raise UnsupportedDimension("lattice counting beyond dimension 3")
-    lo = [ceil(min(v[i] for v in P.vertices)) for i in range(n)]
-    hi = [floor(max(v[i] for v in P.vertices)) for i in range(n)]
+    ints, scale = P._ints
+    lo = [-(-min(p[i] for p in ints) // scale) for i in range(n)]
+    hi = [max(p[i] for p in ints) // scale for i in range(n)]
     total = 1
     for l, h in zip(lo, hi):
         total *= max(h - l + 1, 0)
@@ -741,10 +736,10 @@ def lattice_count(P: Polytope) -> int:
     axes = [range(l, h + 1) for l, h in zip(lo, hi)]
     if n == 0 or dim(P) < n:
         return sum(1 for cand in itertools.product(*axes) if contains(P, cand))
-    # The normals are integer, so at an integer point n.x <= rhs holds
-    # exactly when n.x <= floor(rhs); each line along the last axis then
+    # The normals are integer, so at an integer point n.x <= c / scale holds
+    # exactly when n.x <= c // scale; each line along the last axis then
     # meets P in one integer range, found by floor division.
-    rows = [(normal[:-1], normal[-1], floor(rhs)) for normal, rhs in P._facets[0]]
+    rows = [(normal[:-1], normal[-1], c // scale) for normal, c in zip(P._facets[0], P._offsets)]
     count = 0
     for prefix in itertools.product(*axes[:-1]):
         zlo, zhi = lo[-1], hi[-1]

@@ -182,6 +182,16 @@ def _assert_usage_error(argv, capsys):
     assert any("error:" in line for line in err.splitlines())
 
 
+@pytest.mark.parametrize("option", [["--probe", "nope"], ["--valuation", "probe:nope"]],
+                         ids=["probe", "valuation"])
+def test_unknown_probe_lists_the_choices(option, square_file, capsys):
+    code = run(["expand", "--input", square_file] + option)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == ("error: unknown probe 'nope'; choose from"
+                   " ['asym_simplex', 'std_simplex', 'unit_cube']\n")
+
+
 def test_exit_code_ehrhart_fractional_lambda(square_file, capsys):
     _assert_usage_error(["ehrhart", "--input", square_file, "--lambda", "1/2"], capsys)
 

@@ -64,11 +64,11 @@ def trusted_translate(P, s):
 
 
 def _facet_map(P):
-    """Each facet plane with its vertex cycle, rotated to start at its least index."""
+    """Each facet normal with its vertex cycle, rotated to start at its least index."""
     out = {}
-    for plane, cycle in zip(*P._facets):
+    for normal, cycle in zip(*P._facets):
         k = cycle.index(min(cycle))
-        out[plane] = tuple(cycle[k:] + cycle[:k])
+        out[normal] = tuple(cycle[k:] + cycle[:k])
     return out
 
 
@@ -216,6 +216,70 @@ def test_dilate_and_translate_equal_trusted_definitions():
             if n == 3 and pk.dim(H) == 3:
                 assert _facet_map(H) == _facet_map(O)
     assert pk.dilate(P, 0) == pk.origin_polytope(P.ambient_dim) and pk.dilate(P, 1) is P
+
+
+def test_homothets_share_the_root_facet_table():
+    pk.dim.cache_clear()
+    vv._evaluate.cache_clear()
+    rng = random.Random(8013)
+    checked = 0
+    for k in range(150):
+        n = 1 + k % 3
+        P = _body(rng, n)
+        if len(P._span) < n:
+            continue
+        t, s = rng.choice(FACTORS), _shift(rng, n)
+        assert pk.dilate(P, t)._facets is P._facets
+        assert pk.translate(P, s)._facets is P._facets
+        if n == 1:
+            assert P._facets == (((-1,), (1,)), ((0,), (1,)))
+        # the constructor does not intern, so R is a new root; H has not read
+        # the table while R lived, and computes the same one once R is gone
+        R = pk.Polytope(n, P.vertices)
+        H = pk.translate(pk.dilate(R, t), s)
+        expected = _facet_map(R)
+        ref = weakref.ref(R)
+        del R
+        gc.collect()
+        assert ref() is None and H._root() is H
+        assert _facet_map(H) == expected
+        checked += 1
+    assert checked >= 40
+
+
+def _assert_support_offsets(P):
+    """Each offset is the support value of P's integer form at the facet's
+    normal, and every vertex of the facet's cycle attains it."""
+    ints, _ = P._ints
+    normals, cycles = P._facets
+    assert len(P._offsets) == len(normals) == len(cycles)
+    for normal, cycle, c in zip(normals, cycles, P._offsets):
+        values = [sum(a * x for a, x in zip(normal, p)) for p in ints]
+        assert c == max(values)
+        assert all(values[i] == c for i in cycle)
+
+
+def test_offsets_are_support_values_of_the_integer_form(monkeypatch):
+    rng = random.Random(8014)
+    mapped = 0
+    for k in range(300):
+        n = 1 + k % 3
+        X, Y = _body(rng, n), _body(rng, n)
+        # the first sum of the two roots builds the table, a later one maps it
+        first = pk.minkowski_sum(pk.dilate(X, rng.choice(FACTORS)), pk.translate(Y, _shift(rng, n)))
+        P = pk.translate(pk.dilate(X, rng.choice(FACTORS)), _shift(rng, n))
+        Q = pk.dilate(pk.translate(Y, _shift(rng, n)), rng.choice(FACTORS))
+        with monkeypatch.context() as m:
+            m.setattr(pk, "_hull_ints", _no_hull)
+            S = pk.minkowski_sum(P, Q)
+        if "_facets" in vars(S) and S._root() is S:
+            # the mapped sum takes the table's normals, the first sum's own
+            assert S._facets[0] is vars(first)["_facets"][0]
+            mapped += 1
+        for body in (X, Y, first, P, Q, S):
+            if pk.dim(body) == n:
+                _assert_support_offsets(body)
+    assert mapped >= 60
 
 
 def _answers(H, probe, rng):

@@ -15,8 +15,14 @@ from fractions import Fraction as F
 import pytest
 
 from convexval import _geometry as geom
+from convexval import _linalg
 from convexval import polytope as pk
 from convexval.errors import DependentBasis, InvariantViolation, UnsupportedDimension
+
+
+def _planes(P):
+    """P's facet planes as (integer normal, Fraction offset)."""
+    return [(n, F(c, P._ints[1])) for n, c in zip(P._facets[0], P._offsets)]
 
 
 def fraction_minkowski_sum(P, Q):
@@ -30,7 +36,7 @@ def fraction_contains(P, x):
     if len(P.vertices) == 1:
         return x == P.vertices[0]
     if pk.dim(P) == P.ambient_dim:
-        return all(sum(c * t for c, t in zip(normal, x)) <= rhs for normal, rhs in P._facets[0])
+        return all(sum(c * t for c, t in zip(normal, x)) <= rhs for normal, rhs in _planes(P))
     origin, solve, reduced = P._frame
     coords = solve(tuple(a - b for a, b in zip(x, origin)))
     return coords is not None and fraction_contains(reduced, coords)
@@ -69,12 +75,12 @@ def _assert_same_body(S, O):
     if pk.dim(S) == n and n <= 3:
         if n == 3 and len(S.vertices) > 4:
             assert "_facets" in vars(S)
-        assert S._facets[0] == O._facets[0]
+        assert _planes(S) == _planes(O)
         # a copy without handed-over data computes the same planes itself
         copy = pk._trusted(n, S.vertices)
-        assert set(copy._facets[0]) == set(S._facets[0])
+        assert set(_planes(copy)) == set(_planes(S))
         if n == 3:
-            assert S._facets[0] == O._facets[0]
+            assert _planes(S) == _planes(O)
             assert pk.volume(copy) == pk.volume(S)
 
 
@@ -177,7 +183,7 @@ def _membership_points(rng, P):
     groups = [verts]
     if pk.dim(P) == n:
         groups = [[v for v in verts if sum(c * t for c, t in zip(normal, v)) == rhs]
-                  for normal, rhs in P._facets[0]]
+                  for normal, rhs in _planes(P)]
     on_body, near = list(verts), []
     for group in groups:
         weights = [F(rng.randint(1, 5)) for _ in group]
@@ -207,6 +213,49 @@ def test_contains_matches_fraction_halfspace_test():
             seen[expected] += 1
         assert all(pk.contains(P, x) for x in on_body)
     assert lower >= 60 and min(seen.values()) >= 500
+
+
+def fraction_volume(P):
+    """The Fraction formulas on the vertices of a full-dimensional segment,
+    simplex or box."""
+    n = P.ambient_dim
+    if n == 1:
+        return max(v[0] for v in P.vertices) - min(v[0] for v in P.vertices)
+    if len(P.vertices) == n + 1:
+        base = P.vertices[0]
+        rows = [tuple(a - b for a, b in zip(v, base)) for v in P.vertices[1:]]
+        return abs(_linalg.det(rows)) / math.factorial(n)
+    lo, hi = P.vertices[0], P.vertices[-1]
+    return math.prod((h - l for l, h in zip(lo, hi)), start=F(1))
+
+
+def test_volume_matches_fraction_formulas():
+    rng = random.Random(6011)
+    seen = {}
+    for k in range(300):
+        n = 1 + k % 5
+        den = rng.choice((1, 2, 7, 10**6))
+
+        def coord():
+            return F(rng.randint(-3 * den, 3 * den), den)
+
+        if n >= 4 and k % 2:
+            kind = "box"
+            corner = [coord() for _ in range(n)]
+            P = pk.hull(itertools.product(*((a, a + F(rng.randint(1, 3 * den), den))
+                                            for a in corner)))
+        else:
+            kind = "segment" if n == 1 else "simplex"
+            pts = [tuple(coord() for _ in range(n)) for _ in range(n + 1)]
+            if _linalg.det([tuple(a - b for a, b in zip(p, pts[0])) for p in pts[1:]]) == 0:
+                continue
+            P = pk.hull(pts)
+        shift = [coord() for _ in range(n)]
+        H = pk.translate(pk.dilate(P, rng.choice((F(1, 3), F(7, 4), F(5, 999_983)))), shift)
+        for body in (P, H):
+            assert pk.volume(body) == fraction_volume(body) > 0
+        seen[kind, n] = seen.get((kind, n), 0) + 1
+    assert len(seen) == 7 and min(seen.values()) >= 20
 
 
 def test_hull_3d_is_invariant_under_integer_scaling():

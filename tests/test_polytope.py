@@ -164,6 +164,11 @@ def _hull_cloud(rng):
     return [warp(p) for p in pts], [warp(p) for p in apexes], d
 
 
+def _planes(P):
+    """P's facet planes as (integer normal, Fraction offset)."""
+    return [(n, F(c, P._ints[1])) for n, c in zip(P._facets[0], P._offsets)]
+
+
 def brute_hull3(cloud):
     """Facet planes and vertices of a full-dimensional cloud, by enumeration.
 
@@ -223,7 +228,7 @@ def test_hull_matches_brute_force_enumeration():
         Q = pk._trusted(3, P.vertices)
         assert pk.volume(P) == pk.volume(Q)
         if d == 3:
-            assert set(P._facets[0]) == planes == set(Q._facets[0])
+            assert set(_planes(P)) == planes == set(_planes(Q))
             assert pk.lattice_count(P) == pk.lattice_count(Q)
     assert seeded >= 100
 
@@ -591,13 +596,13 @@ def test_lattice_count_matches_brute_force_scan():
         if pk.dim(P) < n:
             lower_dim += 1
         elif n > 1:
-            vertical += any(normal[-1] == 0 for normal, _ in P._facets[0])
+            vertical += any(normal[-1] == 0 for normal in P._facets[0])
     assert lower_dim >= 150 and vertical >= 100
 
 
 def test_lattice_count_box_with_vertical_facets():
     box = pk.hull(itertools.product(("-3/2", "7/3"), ("-1", "2"), ("-1/7", "5/2")))
-    assert any(normal[-1] == 0 for normal, _ in box._facets[0])
+    assert any(normal[-1] == 0 for normal in box._facets[0])
     assert pk.lattice_count(box) == 4 * 4 * 3 == brute_lattice_count(box)
 
 
@@ -856,8 +861,8 @@ from convexval.errors import InvariantViolation
 cube = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
 # a quadrilateral (no simplex, no box) with its edge cycles reversed
 reversed_edges = pk.hull([(0, 0), (2, 0), (2, 1), (0, 2)])
-planes, cycles = reversed_edges._facets
-vars(reversed_edges)["_facets"] = planes, tuple(cycle[::-1] for cycle in cycles)
+normals, cycles = reversed_edges._facets
+vars(reversed_edges)["_facets"] = normals, tuple(cycle[::-1] for cycle in cycles)
 calls = [
     lambda: geom._facet_cycle(cube, (1, 1, 0), 1),
     lambda: pk.volume(reversed_edges),
