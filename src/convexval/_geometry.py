@@ -21,6 +21,10 @@ def sub(p, q):
     return tuple(a - b for a, b in zip(p, q))
 
 
+def add(p, q):
+    return tuple(a + b for a, b in zip(p, q))
+
+
 def dot(p, q):
     if len(p) == 3:
         return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]

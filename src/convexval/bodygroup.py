@@ -63,10 +63,7 @@ class FormalSum:
     def __add__(self, other):
         if not isinstance(other, FormalSum):
             return NotImplemented
-        acc = dict(self.terms)
-        for poly, coef in other.terms:
-            acc[poly] = acc.get(poly, 0) + coef
-        return _from_dict(acc)
+        return _collect(self.terms + other.terms)
 
     def __neg__(self):
         return FormalSum(tuple((poly, -coef) for poly, coef in self.terms))
@@ -101,10 +98,14 @@ class FormalSum:
 _ZERO = FormalSum(())
 
 
-def _from_dict(acc: dict) -> FormalSum:
-    items = [(poly, coef) for poly, coef in acc.items() if coef != 0]
-    items.sort(key=lambda item: _sort_key(item[0]))
-    return FormalSum(tuple(items))
+def _collect(terms) -> FormalSum:
+    """The sum of (class, integer coefficient) pairs: equal classes added,
+    zero coefficients dropped, the terms sorted by class."""
+    acc: dict = {}
+    for poly, coef in terms:
+        acc[poly] = acc.get(poly, 0) + coef
+    return FormalSum(tuple(sorted(((poly, coef) for poly, coef in acc.items() if coef),
+                                  key=lambda item: _sort_key(item[0]))))
 
 
 def class_of(P: pk.Polytope) -> FormalSum:
@@ -120,11 +121,7 @@ def combine(s1: FormalSum, s2: FormalSum, c1: int, c2: int) -> FormalSum:
 def dilate_class(s: FormalSum, factor) -> FormalSum:
     """Termwise dilation followed by re-canonicalization."""
     lam = rat(factor)
-    acc: dict = {}
-    for poly, coef in s.terms:
-        rep = class_rep(pk.dilate(poly, lam))
-        acc[rep] = acc.get(rep, 0) + coef
-    return _from_dict(acc)
+    return _collect((class_rep(pk.dilate(poly, lam)), coef) for poly, coef in s.terms)
 
 
 def formal_sum_group() -> GroupOps:
@@ -179,14 +176,8 @@ def component_extraction_on_sum(s: FormalSum, degree: int) -> list:
             dilates[t] = dilate_class(s, t)
         return dilates[t]
 
-    def combination(row) -> FormalSum:
-        acc: dict = {}
-        for t, coef in row:
-            for poly, k in dilated(t).terms:
-                acc[poly] = acc.get(poly, 0) + coef * k
-        return _from_dict(acc)
-
-    return [combination(row) for row in rows]
+    return [_collect((poly, coef * k) for t, coef in row for poly, k in dilated(t).terms)
+            for row in rows]
 
 
 def _merge(x: dict, y: dict) -> dict:
@@ -294,6 +285,11 @@ class CheckRow:
 _check_row = lru_cache(maxsize=1 << 10, typed=True)(CheckRow)
 
 
+def _equality_row(name, left, right) -> CheckRow:
+    """The row of the check left == right, naming both sides when they differ."""
+    return _check_row(name, left == right, "" if left == right else f"{left} != {right}")
+
+
 @dataclass(frozen=True)
 class Report:
     title: str
@@ -338,15 +334,9 @@ def verify_homogeneity(P: pk.Polytope, factor, panel) -> Report:
     for i in range(d + 1):
         expected_scale = lam ** i if i > 0 else Fraction(1)
         for val in panel:
-            left = evaluate_sum(val, dilated[i])
-            right = expected_scale * evaluate_sum(val, base[i])
-            rows.append(
-                _check_row(
-                    f"degree {i} under {val.key()}",
-                    left == right,
-                    "" if left == right else f"{left} != {right}",
-                )
-            )
+            rows.append(_equality_row(f"degree {i} under {val.key()}",
+                                      evaluate_sum(val, dilated[i]),
+                                      expected_scale * evaluate_sum(val, base[i])))
     return Report(f"homogeneity at {lam}", tuple(rows))
 
 
@@ -364,16 +354,9 @@ def simplex_identity_as_classes(basis: pk.SimplexBasis, a, b, panel) -> Report:
         rhs = rhs + class_of(cell)
     for seam in pieces.seams:
         rhs = rhs - class_of(seam)
-    rows = []
-    for val in panel:
-        left = evaluate_sum(val, lhs)
-        right = evaluate_sum(val, rhs)
-        rows.append(
-            _check_row(
-                val.key(), left == right, "" if left == right else f"{left} != {right}"
-            )
-        )
-    return Report(f"simplex class identity (a={av}, b={bv})", tuple(rows))
+    rows = tuple(_equality_row(val.key(), evaluate_sum(val, lhs), evaluate_sum(val, rhs))
+                 for val in panel)
+    return Report(f"simplex class identity (a={av}, b={bv})", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +371,7 @@ def sum_to_obj(s: FormalSum) -> list:
 def sum_from_obj(obj) -> FormalSum:
     if not isinstance(obj, list):
         raise ParseError("formal sum must be a JSON list of terms")
-    acc: dict = {}
+    terms = []
     for i, item in enumerate(obj):
         if not isinstance(item, dict) or "coef" not in item or "polytope" not in item:
             raise ParseError(f"term {i} must carry 'coef' and 'polytope'")
@@ -396,7 +379,7 @@ def sum_from_obj(obj) -> FormalSum:
         if not isinstance(coef, int) or isinstance(coef, bool):
             raise ParseError(f"term {i}: coefficient must be an integer")
         poly = class_rep(pk.polytope_from_obj(item["polytope"]))
-        if acc and poly.ambient_dim != next(iter(acc)).ambient_dim:
+        if terms and poly.ambient_dim != terms[0][0].ambient_dim:
             raise ParseError(f"term {i}: dimension {poly.ambient_dim} differs from term 0")
-        acc[poly] = acc.get(poly, 0) + coef
-    return _from_dict(acc)
+        terms.append((poly, coef))
+    return _collect(terms)

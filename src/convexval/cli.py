@@ -29,7 +29,8 @@ def parse_polytope(path: str) -> pk.Polytope:
 
 def _load_json(path: str):
     """The JSON value in a file; an unreadable file, text that is not UTF-8 or
-    bad JSON is a ParseError."""
+    bad JSON is a ParseError. So are nesting deeper than the interpreter's
+    recursion limit and an integer longer than its digit limit for int()."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -39,6 +40,8 @@ def _load_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def parse_polytope_with_notices(path: str):

@@ -4,8 +4,8 @@ A `Polytope` stores the extreme points of its convex hull, sorted
 lexicographically, with every coordinate an exact `Fraction`. All operations
 (dilation, translation, Minkowski sum, volume, membership, lattice counting)
 are exact; there is no floating point anywhere in this module. Hulls, sums,
-volumes, membership and lattice counts work on each body's integer form,
-`Polytope._ints`.
+volumes, membership, lattice counts, the affine frame and the staircase's
+partial simplices work on each body's integer form, `Polytope._ints`.
 
 General-position bodies are supported up to ambient dimension 3. Simplices
 get closed forms in any dimension, and axis-aligned boxes beyond dimension 3.
@@ -149,17 +149,17 @@ class Polytope:
 
     @cached_property
     def _frame(self):
-        """(origin, solver, reduced body) in a basis of the affine hull.
+        """(solver, reduced body) in a basis of the affine hull.
 
-        The basis is the differences `_span` picks of the vertices from the
-        first one, the origin. The solver maps x - origin to coordinates
-        in it (None off the affine hull); the reduced body is the vertices
-        in those coordinates.
+        The basis is the differences `_span` picks of the integer form's
+        points from its first point. The solver maps m * (x - v0), v0 the
+        first vertex, to m times x's coordinates in it (None off the affine
+        hull); the reduced body is the vertices in those coordinates.
         """
-        origin = self.vertices[0]
-        diffs = [geom.sub(v, origin) for v in self.vertices]
+        ints, _ = self._ints
+        diffs = [geom.sub(p, ints[0]) for p in ints]
         solve = _linalg.solver([diffs[i + 1] for i in self._span])
-        return origin, solve, _trusted(len(self._span), map(solve, diffs))
+        return solve, _trusted(len(self._span), map(solve, diffs))
 
 
 def _trusted(ambient_dim, vertices) -> Polytope:
@@ -409,12 +409,15 @@ class SimplexBasis:
     @cached_property
     def _partial_simplices(self):
         """(S(0..i), S(i..d)) for i = 0..d, where S(i..j) = conv(p_i, ..., p_j)
-        over the partial sums p. They live as long as the basis, so the sums
-        of their dilates map from one table per pair after the first (a, b);
+        over the partial sums p_0 = 0, p_i = v1 + ... + vi, summed on the
+        basis's integer form. They live as long as the basis, so the sums of
+        their dilates map from one table per pair after the first (a, b);
         S(0..d), the last head and the first tail, is one interned root."""
-        sums = _partial_sums(self)
         n = self.ambient_dim
-        return tuple((_trusted(n, sums[:i + 1]), _trusted(n, sums[i:])) for i in range(len(sums)))
+        ints, scale = geom.integerize(self.vectors)
+        sums = list(itertools.accumulate(ints, geom.add, initial=(0,) * n))
+        return tuple((_interned(n, sorted(sums[:i + 1]), scale),
+                      _interned(n, sorted(sums[i:]), scale)) for i in range(len(sums)))
 
     @property
     def ambient_dim(self):
@@ -427,16 +430,6 @@ class SimplexBasis:
 
 def simplex_basis(vectors) -> SimplexBasis:
     return SimplexBasis(tuple(point(v) for v in vectors))
-
-
-def _partial_sums(basis: SimplexBasis) -> list:
-    """0, v1, v1+v2, ..., v1+...+vd."""
-    acc = (Fraction(0),) * basis.ambient_dim
-    sums = [acc]
-    for v in basis.vectors:
-        acc = tuple(a + b for a, b in zip(acc, v))
-        sums.append(acc)
-    return sums
 
 
 def simplex_from_basis(basis: SimplexBasis) -> Polytope:
@@ -561,8 +554,8 @@ def verify_decomposition(basis: SimplexBasis, a, b) -> DecompositionReport:
 
     def inside(x):
         """The membership test of the point x, converted to integers once."""
-        form = geom.integerize([x])
-        return lambda P: _holds(P, x, form)
+        (X,), den = geom.integerize([x])
+        return lambda P: _holds(P, X, den)
 
     def at(coords):
         """(coords, x, test) for staircase coordinates t: x = t_1 v_1 + ... + t_d v_d."""
@@ -645,38 +638,41 @@ def contains(P: Polytope, x) -> bool:
     xv = point(x)
     if len(xv) != P.ambient_dim:
         raise DimensionMismatch("point has wrong dimension")
-    return _holds(P, xv)
+    (X,), den = geom.integerize([xv])
+    return _holds(P, X, den)
 
 
-def _holds(P: Polytope, xv, form=None) -> bool:
-    """`contains` for an exact point xv of P's dimension; ``form`` is its
-    integer form ([X], den) when the caller has it already."""
-    if len(P.vertices) == 1:
-        return xv == P.vertices[0]
-    d = dim(P)
+def _holds(P: Polytope, X, den) -> bool:
+    """Whether the point X / den, X an integer tuple, lies in P. Besides the
+    facet and box tests, each branch reads rel = X * scale - V0 * den: the
+    query less the first vertex V0 of the integer form, times den * scale."""
     n = P.ambient_dim
-    if d == n:
-        if n > 3:
-            if len(P.vertices) == n + 1:
-                # the frame's basis is the simplex's edges from its first vertex
-                origin, solve, _ = P._frame
-                sol = solve(geom.sub(xv, origin))
-                return sol is not None and all(c >= 0 for c in sol) and sum(sol) <= 1
-            if _box_corners(P._ints[0]) is not None:
-                # the least and greatest corners of a box hold its extents
-                lo, hi = P.vertices[0], P.vertices[-1]
-                return all(l <= c <= h for l, c, h in zip(lo, xv, hi))
-            raise UnsupportedDimension(f"membership in dimension {n}")
+    d = dim(P)
+    ints, scale = P._ints
+    if d == n and 0 < n <= 3:
         # n.x <= c / scale with x = X / den reads n.X * scale <= c * den
-        (X,), den = form or geom.integerize([xv])
-        scale = P._ints[1]
         return all(geom.dot(normal, X) * scale <= c * den
                    for normal, c in zip(P._facets[0], P._offsets))
-    origin, solve, reduced = P._frame
-    coords = solve(geom.sub(xv, origin))
+    if d == n and len(ints) > n + 1:
+        # beyond R^3 the kernel builds only simplices and boxes; the least
+        # and greatest corners of a box hold its extents
+        if _box_corners(ints) is None:
+            raise UnsupportedDimension(f"membership in dimension {n}")
+        return all(l * den <= c * scale <= h * den for l, c, h in zip(ints[0], X, ints[-1]))
+    rel = [c * scale - v * den for c, v in zip(X, ints[0])]
+    if d == 0:
+        return not any(rel)
+    # the coordinates of X / den in the frame, times den
+    solve, reduced = P._frame
+    coords = solve(rel)
+    if d == n:
+        # a simplex: the frame's basis is its edges from the first vertex
+        return all(c >= 0 for c in coords) and sum(coords) <= den
     if coords is None:
         return False
-    return contains(reduced, coords)
+    # coords / den is Y / (dy * den)
+    (Y,), dy = geom.integerize([coords])
+    return _holds(reduced, Y, dy * den)
 
 
 def volume(P: Polytope) -> Fraction:
@@ -735,7 +731,7 @@ def lattice_count(P: Polytope) -> int:
         return 0
     axes = [range(l, h + 1) for l, h in zip(lo, hi)]
     if n == 0 or dim(P) < n:
-        return sum(1 for cand in itertools.product(*axes) if contains(P, cand))
+        return sum(1 for cand in itertools.product(*axes) if _holds(P, cand, 1))
     # The normals are integer, so at an integer point n.x <= c / scale holds
     # exactly when n.x <= c // scale; each line along the last axis then
     # meets P in one integer range, found by floor division.

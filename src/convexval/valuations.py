@@ -160,12 +160,9 @@ def expansion_of_dilation(
     if degree is None:
         degree = P.ambient_dim if probe is not None else pk.dim(P)
 
-    if probe is None:
-        def fn(t):
-            return evaluate(val, pk.dilate(P, t))
-    else:
-        def fn(t):
-            return evaluate(val, pk.minkowski_sum(pk.dilate(P, t), probe))
+    def fn(t):
+        body = pk.dilate(P, t)
+        return evaluate(val, body if probe is None else pk.minkowski_sum(body, probe))
 
     return extract_components(FunctionHandle(fn), degree)
 

@@ -87,12 +87,21 @@ def random_basis(rng, d: int) -> pk.SimplexBasis:
 
 _CORPUS_DIMS = (1, 2, 3, 2)
 
+# the sizes every suite runs at, `convexval verify` and the acceptance tests alike
+CORPUS_SIZE = 25
+LAW_CASES = 100
+BASES_PER_DIM = 25
+MIXED_PAIRS = 25
+EHRHART_MAX_DIM = 3
+EHRHART_MAX_DILATION = 10
+UNIQUENESS_CASES = 50
 
-def seeded_corpus(seed: int, count: int = 25):
+
+def seeded_corpus(seed: int):
     """Deterministic list of (polytope, probe) pairs with dims cycling 1..3."""
     rng = random.Random(seed)
     out = []
-    for i in range(count):
+    for i in range(CORPUS_SIZE):
         d = _CORPUS_DIMS[i % len(_CORPUS_DIMS)]
         P = random_polytope(rng, d)
         probe_kind = i % 3
@@ -124,11 +133,11 @@ def random_poly_fn(rng, max_degree=4):
 # criterion 1: difference-operator laws
 
 
-def difference_laws(seed: int, cases: int = 100) -> SuiteResult:
+def difference_laws(seed: int) -> SuiteResult:
     result = SuiteResult("difference-calculus laws (commutation, cocycle, collapse)")
     rng = random.Random(seed)
 
-    for _ in range(cases):
+    for _ in range(LAW_CASES):
         f, _, _ = random_poly_fn(rng, 3)
         p = rng.randint(2, 3)
         us = [_rand_rational(rng, -3, 3, (1, 2)) for _ in range(p)]
@@ -144,14 +153,14 @@ def difference_laws(seed: int, cases: int = 100) -> SuiteResult:
             )
         result.count(ok, f"order invariance broke for us={point_str(us)}")
 
-    for _ in range(cases):
+    for _ in range(LAW_CASES):
         f, _, _ = random_poly_fn(rng, 4)
         u = _rand_rational(rng, -3, 3, (1, 2, 3))
         v = _rand_rational(rng, -3, 3, (1, 2, 3))
         base = _rand_rational(rng, 0, 2, (1, 2))
         result.count(verify_cocycle(f, u, v, base), f"cocycle broke at u={u}, v={v}")
 
-    for _ in range(cases):
+    for _ in range(LAW_CASES):
         # symmetric multiadditive map on rationals: c * u_1 * ... * u_k
         k = rng.randint(1, 3)
         c = _rand_nonzero(rng, -4, 4, (1, 2, 3))
@@ -179,7 +188,7 @@ AB_PAIRS = (
 )
 
 
-def simplex_decomposition(seed: int, bases_per_dim: int = 25) -> SuiteResult:
+def simplex_decomposition(seed: int) -> SuiteResult:
     result = SuiteResult("simplex decomposition tiling and valuation identity")
     rng = random.Random(seed)
     for d in (1, 2, 3):
@@ -188,7 +197,7 @@ def simplex_decomposition(seed: int, bases_per_dim: int = 25) -> SuiteResult:
             vv.euler_valuation(),
             vv.probe_volume(pk.unit_cube(d), "unit_cube"),
         )
-        for _ in range(bases_per_dim):
+        for _ in range(BASES_PER_DIM):
             basis = random_basis(rng, d)
             for a, b in AB_PAIRS:
                 report = pk.verify_decomposition(basis, a, b)
@@ -206,9 +215,9 @@ def simplex_decomposition(seed: int, bases_per_dim: int = 25) -> SuiteResult:
 # criterion 3: vanishing of iterated differences of dilation volumes
 
 
-def dilation_vanishing(seed: int, count: int = 25) -> SuiteResult:
+def dilation_vanishing(seed: int) -> SuiteResult:
     result = SuiteResult("iterated differences of dilation volumes vanish")
-    for P, Q in seeded_corpus(seed, count):
+    for P, Q in seeded_corpus(seed):
         d = pk.dim(P)
         fn = FunctionHandle(
             lambda t, P=P, Q=Q: vv.evaluate(
@@ -232,9 +241,9 @@ def dilation_vanishing(seed: int, count: int = 25) -> SuiteResult:
 HOMOGENEITY_FACTORS = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3))
 
 
-def component_identities(seed: int, count: int = 25) -> SuiteResult:
+def component_identities(seed: int) -> SuiteResult:
     result = SuiteResult("graded components: splitting, idempotence, homogeneity")
-    for P, _ in seeded_corpus(seed, count):
+    for P, _ in seeded_corpus(seed):
         d = pk.dim(P)
         panel = vv.default_panel(P.ambient_dim)
         comps = bg.mcmullen_components(P)
@@ -276,11 +285,11 @@ def component_identities(seed: int, count: int = 25) -> SuiteResult:
 # criterion 5: planar mixed volume against the expansion coefficient
 
 
-def mixed_volume_cross_check(seed: int, pairs: int = 25) -> SuiteResult:
+def mixed_volume_cross_check(seed: int) -> SuiteResult:
     result = SuiteResult("planar mixed volume vs dilation expansion coefficient")
     rng = random.Random(seed + 5)
     vol = vv.volume_valuation()
-    for _ in range(pairs):
+    for _ in range(MIXED_PAIRS):
         P = random_polytope(rng, 2)
         Q = random_polytope(rng, 2)
         mv = vv.mixed_volume_2d(P, Q)
@@ -308,12 +317,13 @@ def _fit_polynomial(points):
     return _linalg.solve(columns, target)
 
 
-def ehrhart_counts(max_dim: int = 3, max_dilation: int = 10) -> SuiteResult:
+def ehrhart_counts(seed: int) -> SuiteResult:
+    """Fixed unit cubes: the seed, taken as by every suite, changes nothing."""
     result = SuiteResult("Ehrhart counting on unit cubes")
-    for d in range(1, max_dim + 1):
+    for d in range(1, EHRHART_MAX_DIM + 1):
         cube = pk.unit_cube(d)
         counts = []
-        for lam in range(max_dilation + 1):
+        for lam in range(EHRHART_MAX_DILATION + 1):
             body = pk.dilate(cube, lam)
             got = pk.lattice_count(body)
             # brute-force oracle: the facet test on the box widened by one,
@@ -347,10 +357,10 @@ def ehrhart_counts(max_dim: int = 3, max_dilation: int = 10) -> SuiteResult:
 # criterion 7: uniqueness of expansions across internal bases
 
 
-def expansion_uniqueness(seed: int, cases: int = 50) -> SuiteResult:
+def expansion_uniqueness(seed: int) -> SuiteResult:
     result = SuiteResult("expansion uniqueness across internal evaluation bases")
     rng = random.Random(seed + 7)
-    for _ in range(cases):
+    for _ in range(UNIQUENESS_CASES):
         f, degree, _ = random_poly_fn(rng, 3)
         first = extract_components(f, degree, base=Fraction(1))
         second = extract_components(f, degree, base=Fraction(1, 3))
@@ -368,9 +378,9 @@ def expansion_uniqueness(seed: int, cases: int = 50) -> SuiteResult:
 # criterion 8: the subtract-the-constant factorization at panel level
 
 
-def factorization_consequence(seed: int, count: int = 25) -> SuiteResult:
+def factorization_consequence(seed: int) -> SuiteResult:
     result = SuiteResult("valuation factorization through positive-degree components")
-    for P, _ in seeded_corpus(seed, count):
+    for P, _ in seeded_corpus(seed):
         panel = vv.default_panel(P.ambient_dim)
         comps = bg.mcmullen_components(P)
         X = bg.class_of(P)
@@ -390,7 +400,7 @@ def factorization_consequence(seed: int, count: int = 25) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-# the eight suites at their acceptance sizes, each called with the seed
+# the eight suites, each called with the seed
 SUITES = (difference_laws, simplex_decomposition, dilation_vanishing, component_identities,
-          mixed_volume_cross_check, lambda seed: ehrhart_counts(), expansion_uniqueness,
+          mixed_volume_cross_check, ehrhart_counts, expansion_uniqueness,
           factorization_consequence)

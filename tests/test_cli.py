@@ -270,6 +270,31 @@ def test_exit_code_input_not_utf8(command, tmp_path, capsys):
     _assert_usage_error([command, *inputs], capsys)
 
 
+LONG_INT = "1" * 5000  # beyond the interpreter's 4,300-digit limit for int()
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("expand", "[" * 100_000),
+        ("expand", '{"dim": 1, "vertices": [[%s], [0]]}' % LONG_INT),
+        ("expand", '{"dim": %s, "vertices": [[1], [0]]}' % LONG_INT),
+        ("compare", "[" * 100_000),
+        ("compare", '[{"coef": %s, "polytope": {"dim": 1, "vertices": [[0]]}}]' % LONG_INT),
+    ],
+    ids=["expand-deep", "expand-long-vertex", "expand-long-dim", "compare-deep",
+         "compare-long-coef"],
+)
+def test_exit_code_json_beyond_interpreter_limits(command, text, tmp_path, capsys):
+    path = tmp_path / "limits.json"
+    path.write_text(text)
+    inputs = ["--input", str(path)] * (2 if command == "compare" else 1)
+    code = run([command, *inputs])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1
+
+
 SEGMENT_SUM = [{"coef": 1, "polytope": {"dim": 1, "vertices": [["0"], ["1"]]}}]
 SQUARE_SUM = [{"coef": 1, "polytope": pk.polytope_to_obj(pk.unit_cube(2))}]
 CUBE_SUM = [{"coef": 2, "polytope": pk.polytope_to_obj(pk.unit_cube(3))}]

@@ -18,6 +18,7 @@ from convexval import _geometry as geom
 from convexval import _linalg
 from convexval import polytope as pk
 from convexval.errors import DependentBasis, InvariantViolation, UnsupportedDimension
+from test_linalg import fraction_solve
 
 
 def _planes(P):
@@ -32,14 +33,17 @@ def fraction_minkowski_sum(P, Q):
 
 def fraction_contains(P, x):
     """Membership over Fractions: the halfspace test on a full-dimensional
-    body, the affine frame otherwise."""
+    body; otherwise coordinates in a basis of the vertex differences from
+    the first vertex, tested in the hull of the vertices' coordinates."""
     if len(P.vertices) == 1:
         return x == P.vertices[0]
     if pk.dim(P) == P.ambient_dim:
         return all(sum(c * t for c, t in zip(normal, x)) <= rhs for normal, rhs in _planes(P))
-    origin, solve, reduced = P._frame
+    origin = P.vertices[0]
+    diffs = [tuple(a - b for a, b in zip(v, origin)) for v in P.vertices]
+    solve = _linalg.solver([diffs[i] for i in _linalg.independent_rows(diffs)])
     coords = solve(tuple(a - b for a, b in zip(x, origin)))
-    return coords is not None and fraction_contains(reduced, coords)
+    return coords is not None and fraction_contains(pk.hull(map(solve, diffs)), coords)
 
 
 def _body(rng, n):
@@ -114,7 +118,8 @@ def test_minkowski_sum_staircase_pieces_match_fraction_definition(monkeypatch):
                      for _ in range(d)])
             except DependentBasis:
                 pass
-        sums = pk._partial_sums(basis)
+        sums = list(itertools.accumulate(
+            basis.vectors, lambda p, v: tuple(a + b for a, b in zip(p, v)), initial=(F(0),) * d))
 
         def partial(lo, hi, factor):
             verts = (tuple(p - q for p, q in zip(sums[j], sums[lo])) for j in range(lo, hi + 1))
@@ -213,6 +218,84 @@ def test_contains_matches_fraction_halfspace_test():
             seen[expected] += 1
         assert all(pk.contains(P, x) for x in on_body)
     assert lower >= 60 and min(seen.values()) >= 500
+
+
+def _body_beyond_3d(rng, n, kind):
+    """A seeded body of one kind in R^n (n = 4, 5) with its Fraction
+    membership oracle: barycentric coordinates for a simplex of full or
+    lower rank, the extents for an axis-aligned box (flat along about a
+    quarter of the axes), and `fraction_contains` for a cloud of affine rank
+    at most 3. Coordinates have denominators 1, 2, 7 or 10^6."""
+    den = rng.choice((1, 2, 7, 10**6))
+
+    def coord():
+        return F(rng.randint(-3 * den, 3 * den), den)
+
+    base = tuple(coord() for _ in range(n))
+    if kind == "box":
+        extents = [F(rng.randint(1, 3 * den), den) if rng.randrange(4) else F(0)
+                   for _ in range(n)]
+        P = pk.hull(itertools.product(*((a, a + e) for a, e in zip(base, extents))))
+        return P, lambda x: all(a <= c <= a + e for a, c, e in zip(base, x, extents))
+    if kind == "cloud":
+        dirs = [tuple(coord() for _ in range(n)) for _ in range(rng.randint(1, 3))]
+        pts = [base]
+        for _ in range(rng.randint(3, 8)):
+            ts = [F(rng.randint(0, 3), rng.choice((1, 2, 3))) for _ in dirs]
+            pts.append(tuple(b + sum((t * d[i] for t, d in zip(ts, dirs)), F(0))
+                             for i, b in enumerate(base)))
+        P = pk.hull(pts)
+        return P, lambda x: fraction_contains(P, x)
+    rank = n if kind == "simplex" else rng.randint(1, n - 1)
+    edges = []
+    while len(_linalg.independent_rows(edges)) < rank:
+        edges = [tuple(coord() for _ in range(n)) for _ in range(rank)]
+    P = pk.hull([base] + [tuple(b + e for b, e in zip(base, edge)) for edge in edges])
+
+    def oracle(x):
+        lam = fraction_solve(edges, tuple(c - b for c, b in zip(x, base)))
+        return lam is not None and all(t >= 0 for t in lam) and sum(lam) <= 1
+
+    return P, oracle
+
+
+def test_contains_beyond_three_dimensions_matches_fraction_oracles():
+    rng = random.Random(6012)
+    seen, kinds = {True: 0, False: 0}, set()
+    for k in range(200):
+        n = 4 + k % 2
+        kind = ("simplex", "box", "flat simplex", "cloud")[k // 2 % 4]
+        P, oracle = _body_beyond_3d(rng, n, kind)
+        verts = P.vertices
+        centroid = tuple(sum(c) / len(verts) for c in zip(*verts))
+        on, beyond = [], []
+        for _ in range(8):
+            p, q = rng.choice(verts), rng.choice(verts)
+            if p != q:
+                t = F(rng.randint(1, 4), 5)
+                on.append(tuple(a + t * (b - a) for a, b in zip(p, q)))
+                # past q, which is extreme, away from p
+                t = 1 + F(1, rng.choice((2, 7, 999_983)))
+                beyond.append(tuple(a + t * (b - a) for a, b in zip(p, q)))
+        nudged = []
+        for v in rng.sample(verts, min(len(verts), 6)):
+            q = rng.choice((999_983, 1_000_003))
+            nudged.append(tuple(c + F(rng.randint(-1, 1), q) for c in v))
+            # towards and away from the centroid, inside the affine hull
+            nudged.append(tuple(c + (g - c) / q for c, g in zip(v, centroid)))
+            nudged.append(tuple(c - (g - c) / q for c, g in zip(v, centroid)))
+        assert all(pk.contains(P, x) for x in list(verts) + [centroid] + on), (P, kind)
+        assert not any(pk.contains(P, x) for x in beyond), (P, kind)
+        for x in list(verts) + [centroid] + on + beyond + nudged:
+            expected = oracle(x)
+            assert pk.contains(P, x) == expected, (P, kind, x)
+            seen[expected] += 1
+        kinds.add((kind, n, pk.dim(P) < n))
+    # full and flat boxes, and every other kind in both dimensions
+    assert kinds >= {(kind, n, flat) for n in (4, 5)
+                     for kind, flat in (("simplex", False), ("box", False), ("box", True),
+                                        ("flat simplex", True), ("cloud", True))}
+    assert min(seen.values()) >= 1000
 
 
 def fraction_volume(P):
