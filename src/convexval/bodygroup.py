@@ -18,10 +18,9 @@ the degree only, so they are extracted once per degree into a table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import polytope as pk
 from .diffcalc import QQ_NONNEG, FunctionHandle, GroupOps, extract_components
@@ -42,7 +41,6 @@ def _sort_key(P: pk.Polytope):
     return (P.ambient_dim, P.vertices)
 
 
-@dataclass(frozen=True)
 class FormalSum:
     """Finite integer combination of canonical polytope classes.
 
@@ -51,7 +49,24 @@ class FormalSum:
     stored sums.
     """
 
-    terms: tuple = ()
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple = ()):
+        object.__setattr__(self, "terms", terms)
+
+    __setattr__ = __delattr__ = pk.Polytope.__setattr__
+
+    def __reduce__(self):
+        return FormalSum, (self.terms,)
+
+    def __repr__(self):
+        return f"FormalSum(terms={self.terms!r})"
+
+    def __eq__(self, other):
+        return self.terms == other.terms if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash((self.terms,))
 
     @staticmethod
     def zero() -> "FormalSum":
@@ -222,8 +237,7 @@ def component_table(degree: int) -> tuple:
 # panels
 
 
-@dataclass(frozen=True)
-class PanelSignature:
+class PanelSignature(NamedTuple):
     """Ordered exact values a fixed valuation panel assigns to a sum."""
 
     entries: tuple
@@ -245,8 +259,7 @@ def panel_signature(s: FormalSum, panel) -> PanelSignature:
     return PanelSignature(tuple((val.key(), evaluate_sum(val, s)) for val in panel))
 
 
-@dataclass(frozen=True)
-class PanelComparison:
+class PanelComparison(NamedTuple):
     """Outcome of comparing two sums through a panel.
 
     ``witness`` is None when every panel valuation agrees. A witness
@@ -273,8 +286,7 @@ def panel_compare(s1: FormalSum, s2: FormalSum, panel) -> PanelComparison:
 # identity reports
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
@@ -290,8 +302,7 @@ def _equality_row(name, left, right) -> CheckRow:
     return _check_row(name, left == right, "" if left == right else f"{left} != {right}")
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     title: str
     rows: tuple
 

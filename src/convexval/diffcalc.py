@@ -15,17 +15,15 @@ polytope classes.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .errors import DivisionUnsupported, ReconstructionFailure
 
 
-@dataclass(frozen=True)
-class SemigroupOps:
+class SemigroupOps(NamedTuple):
     """Additive domain carrier.
 
     ``div`` (exact division by a positive integer, or None) is required for
@@ -39,8 +37,7 @@ class SemigroupOps:
     one: Any
 
 
-@dataclass(frozen=True)
-class GroupOps:
+class GroupOps(NamedTuple):
     """Abelian codomain carrier; ``scale(k, x)`` is k*x for an integer k, and
     elements compare with ``==``."""
 
@@ -76,8 +73,7 @@ def vector_group(length: int) -> GroupOps:
     )
 
 
-@dataclass(frozen=True)
-class FunctionHandle:
+class FunctionHandle(NamedTuple):
     """A black-box evaluator A -> M together with its carrier operations."""
 
     fn: Callable[[Any], Any]
@@ -88,8 +84,7 @@ class FunctionHandle:
         return self.fn(a)
 
 
-@dataclass(frozen=True)
-class ExpansionComponent:
+class ExpansionComponent(NamedTuple):
     """One extracted component: symmetric and additive in each argument."""
 
     arity: int
@@ -97,14 +92,17 @@ class ExpansionComponent:
     at_ones: Any = None
 
 
-@dataclass(frozen=True)
-class PolynomialExpansion:
+class PolynomialExpansion(NamedTuple):
     """Constant plus degree-1..d components of an extracted expansion."""
 
     degree: int
     constant: Any
     components: tuple
-    codomain: GroupOps = field(repr=False, default=QQ)
+    codomain: GroupOps = QQ
+
+    def __repr__(self):  # the codomain's operations are left out
+        return (f"PolynomialExpansion(degree={self.degree!r}, constant={self.constant!r},"
+                f" components={self.components!r})")
 
     def value(self, a):
         """Reconstruct the source function at a: constant + sum of diagonals."""

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm, prod
+from typing import NamedTuple
 
 from . import _geometry as geom
 from . import _linalg
@@ -56,7 +56,6 @@ def point(coords) -> Point:
     return tuple(rat(c) for c in coords)
 
 
-@dataclass(frozen=True)
 class Polytope:
     """Convex polytope given by its extreme points, canonically ordered.
 
@@ -72,14 +71,17 @@ class Polytope:
     from a table and bodies built by calling `Polytope` are not interned.
     """
 
-    ambient_dim: int
-    vertices: tuple
-
-    def __post_init__(self):
-        if not self.vertices:
+    def __init__(self, ambient_dim: int, vertices: tuple):
+        if not vertices:
             raise EmptyInput("a polytope needs at least one vertex")
-        if any(len(v) != self.ambient_dim for v in self.vertices):
+        if any(len(v) != ambient_dim for v in vertices):
             raise MixedDimensions("vertex length differs from ambient dimension")
+        vars(self).update(ambient_dim=ambient_dim, vertices=vertices)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
 
     def __repr__(self):
         return f"Polytope[{'; '.join(point_str(v) for v in self.vertices)}]"
@@ -101,7 +103,7 @@ class Polytope:
 
     @cached_property
     def _hash(self):
-        # the value the frozen dataclass would generate
+        # hash((ambient_dim, vertices)), computed once per body
         return hash((self.ambient_dim, self.vertices))
 
     @cached_property
@@ -382,20 +384,29 @@ def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
     return result
 
 
-@dataclass(frozen=True)
 class SimplexBasis:
     """Linearly independent vectors generating a staircase simplex."""
 
-    vectors: tuple
-
-    def __post_init__(self):
-        if not self.vectors:
+    def __init__(self, vectors: tuple):
+        if not vectors:
             raise DependentBasis("empty basis")
-        n = len(self.vectors[0])
-        if any(len(v) != n for v in self.vectors):
+        n = len(vectors[0])
+        if any(len(v) != n for v in vectors):
             raise MixedDimensions("basis vectors of differing dimension")
-        if _linalg.solver_rank(self._solve) != len(self.vectors):
+        vars(self)["vectors"] = vectors
+        if _linalg.solver_rank(self._solve) != len(vectors):
             raise DependentBasis("basis vectors are linearly dependent")
+
+    __setattr__ = __delattr__ = Polytope.__setattr__
+
+    def __repr__(self):
+        return f"SimplexBasis(vectors={self.vectors!r})"
+
+    def __eq__(self, other):
+        return self.vectors == other.vectors if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash((self.vectors,))
 
     @cached_property
     def _solve(self):
@@ -438,8 +449,7 @@ def simplex_from_basis(basis: SimplexBasis) -> Polytope:
     return basis._partial_simplices[-1][0]
 
 
-@dataclass(frozen=True)
-class DecompositionPieces:
+class DecompositionPieces(NamedTuple):
     """Pieces tiling the (a+b)-dilated staircase simplex.
 
     ``cells`` are the d+1 full-dimensional pieces covering the dilate;
@@ -484,8 +494,7 @@ def simplex_coordinates(basis: SimplexBasis, x: Point):
     return basis._solve(x)
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     """Exact checks that the cells tile the dilated simplex.
 
     * volume_additive: cell volumes sum to the volume of the dilate
@@ -552,10 +561,14 @@ def verify_decomposition(basis: SimplexBasis, a, b) -> DecompositionReport:
     if not vol_ok:
         failures.append("cell volumes do not sum to the dilate volume")
 
+    memo = {}
+
     def inside(x):
-        """The membership test of the point x, converted to integers once."""
+        """The membership test of the point x, converted to integers once. It
+        decides each body once per point, as the checks meet points again."""
         (X,), den = geom.integerize([x])
-        return lambda P: _holds(P, X, den)
+        known = memo.setdefault((den, *X), {})
+        return lambda P: known[P] if P in known else known.setdefault(P, _holds(P, X, den))
 
     def at(coords):
         """(coords, x, test) for staircase coordinates t: x = t_1 v_1 + ... + t_d v_d."""
@@ -592,7 +605,8 @@ def verify_decomposition(basis: SimplexBasis, a, b) -> DecompositionReport:
                 failures.append(f"seam {i} sample off the slice x_{i} = b")
                 break
             test = inside(x)
-            if not test(pieces.cells[i]) or not any(test(pieces.cells[j]) for j in range(i)):
+            # seam i lies in cell i - 1, so the earlier cells are tried nearest first
+            if not test(pieces.cells[i]) or not any(test(c) for c in pieces.cells[i - 1::-1]):
                 seams_ok = False
                 failures.append(f"seam {i} sample outside the adjacent cells")
                 break

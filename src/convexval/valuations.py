@@ -15,11 +15,10 @@ inclusion-exclusion law holds on convex unions. The panel kinds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import polytope as pk
 from .diffcalc import (
@@ -39,8 +38,7 @@ SUPPORT = "support"
 LATTICE = "lattice_count"
 
 
-@dataclass(frozen=True)
-class ValuationDescriptor:
+class ValuationDescriptor(NamedTuple):
     kind: str
     probe: Optional[pk.Polytope] = None
     direction: Optional[tuple] = None

@@ -8,7 +8,6 @@ command and the acceptance tests both run these.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
@@ -30,11 +29,11 @@ from .errors import DependentBasis
 from .rationals import point_str
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    checks: int = 0
-    failures: list = field(default_factory=list)
+    def __init__(self, name: str):
+        self.name = name
+        self.checks = 0
+        self.failures = []
 
     @property
     def ok(self) -> bool:

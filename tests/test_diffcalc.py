@@ -1,7 +1,6 @@
 """Difference-operator calculus: laws, extraction, carriers."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -247,7 +246,7 @@ def test_extraction_matches_vandermonde_fit():
 # QQ in every field but not the `QQ` record itself: extract_components then
 # re-expands each component through iterated differences, as it does for
 # every carrier other than the rational scalars
-QQ_GENERIC = replace(QQ)
+QQ_GENERIC = QQ._replace()
 
 ORACLE_CARRIERS = [
     (QQ_NONNEG, F(0)),

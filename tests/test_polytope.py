@@ -1,7 +1,6 @@
 """Polytope kernel: hulls, sums, dilation, volume, counting, decomposition."""
 
 import collections
-import dataclasses
 import gc
 import itertools
 import json
@@ -758,7 +757,7 @@ def test_verify_decomposition_catches_shrunken_seams(vectors, a, b):
     # seams shrunk to their first vertex: every sample still lies on the
     # slice and in the adjacent cells, so only the converse check sees it
     shrunk = tuple(pk.hull([seam.vertices[0]]) for seam in pieces.seams)
-    basis._pieces[(a, b)] = dataclasses.replace(pieces, seams=shrunk)
+    basis._pieces[(a, b)] = pieces._replace(seams=shrunk)
     report = pk.verify_decomposition(basis, a, b)
     assert not report.seams_match and report.seams_lower_dim
     assert report.failures and "missing from seam" in report.failures[0]
@@ -775,9 +774,9 @@ def test_verify_decomposition_catches_shrunken_seams(vectors, a, b):
         ({"seams": (pk.translate(seams[0], shift),) + seams[1:]}, {"seams_match"}),
         ({"seams": (cells[1],) + seams[1:]}, {"seams_match", "seams_lower_dim"}),
     ]
-    checks = [f.name for f in dataclasses.fields(report) if f.name != "failures"]
+    checks = [name for name in report._fields if name != "failures"]
     for change, failed in tampered:
-        basis._pieces[(a, b)] = dataclasses.replace(pieces, **change)
+        basis._pieces[(a, b)] = pieces._replace(**change)
         report = pk.verify_decomposition(basis, a, b)
         assert {name for name in checks if not getattr(report, name)} == failed
         assert not any("Fraction(" in msg for msg in report.failures), report.failures
