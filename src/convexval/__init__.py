@@ -21,7 +21,6 @@ from .bodygroup import (
     PanelSignature,
     class_of,
     class_rep,
-    combine,
     component_extraction_on_sum,
     dilate_class,
     formal_sum_group,
@@ -88,7 +87,7 @@ from .polytope import (
     verify_decomposition,
     volume,
 )
-from .rationals import Rational, rat, rat_str
+from .rationals import rat, rat_str
 from .valuations import (
     ValuationDescriptor,
     default_panel,

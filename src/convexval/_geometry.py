@@ -12,7 +12,7 @@ it finds the first facet from the plane x = min and every neighbour facet
 across an edge.
 """
 
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InvariantViolation
 
@@ -56,13 +56,11 @@ def primitive(v):
 
 def integerize(points):
     """Scale Fraction tuples to integer tuples; returns (ints, scale)."""
-    scale = 1
-    for p in points:
-        for c in p:
-            d = c.denominator
-            scale = scale // gcd(scale, d) * d
-    ints = [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points]
-    return ints, scale
+    scale = lcm(*[c.denominator for p in points for c in p])
+    if scale == 1:
+        # every coordinate is an integer: its numerator
+        return [tuple([c.numerator for c in p]) for p in points], 1
+    return [tuple([c.numerator * (scale // c.denominator) for c in p]) for p in points], scale
 
 
 # ---------------------------------------------------------------------------

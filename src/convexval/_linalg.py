@@ -7,16 +7,9 @@ fraction-free in integers (Bareiss, Math. Comp. 22, 1968): only the value of
 
 from fractions import Fraction
 from functools import partial
-from math import lcm, prod
+from math import prod
 
-
-def _denominator(row):
-    return lcm(*(c.denominator for c in row))
-
-
-def _integer_row(row, den):
-    """The row times ``den``, a multiple of its denominators, as ints."""
-    return [c.numerator * (den // c.denominator) for c in row]
+from ._geometry import integerize
 
 
 def _reduce(row, found):
@@ -44,7 +37,8 @@ def _eliminate(rows, ncols):
     """
     found = []
     for i, row in enumerate(rows):
-        work = _reduce(_integer_row(row, _denominator(row)), found)
+        (work,), _ = integerize([row])
+        work = _reduce(work, found)
         col = next((j for j in range(ncols) if work[j] != 0), None)
         if col is None:
             continue
@@ -73,7 +67,7 @@ def det(rows):
     cols = [col for _, col, _, _ in found]
     inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
     pivot = found[-1][2] if found else 1
-    return Fraction((-1) ** inversions * pivot, prod(map(_denominator, rows)))
+    return Fraction((-1) ** inversions * pivot, prod(integerize([row])[1] for row in rows))
 
 
 def solver(columns):
@@ -100,8 +94,8 @@ def solver_rank(solve):
 
 def _solve_eliminated(found, k, target):
     m = len(target)
-    den = _denominator(target)
-    rest = _reduce(_integer_row(target, den) + [0] * k, found)
+    (ints,), den = integerize([target])
+    rest = _reduce(ints + (0,) * k, found)
     if any(a != 0 for a in rest[:m]):
         return None
     if len(found) < k:

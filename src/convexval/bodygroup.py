@@ -128,11 +128,6 @@ def class_of(P: pk.Polytope) -> FormalSum:
     return FormalSum(((class_rep(P), 1),))
 
 
-def combine(s1: FormalSum, s2: FormalSum, c1: int, c2: int) -> FormalSum:
-    """c1*s1 + c2*s2 with zero-coefficient pruning."""
-    return c1 * s1 + c2 * s2
-
-
 def dilate_class(s: FormalSum, factor) -> FormalSum:
     """Termwise dilation followed by re-canonicalization."""
     lam = rat(factor)
@@ -229,8 +224,7 @@ def component_table(degree: int) -> tuple:
         raise GuardExceeded(f"grading degree {degree} > {pk.DEGREE_GUARD}")
     handle = FunctionHandle(lambda t: {t: 1}, QQ_NONNEG, _FACTOR_SUMS)
     expansion = extract_components(handle, degree, probes=[])
-    values = [expansion.constant] + [comp.at_ones for comp in expansion.components]
-    return tuple(tuple(sorted(x.items())) for x in values)
+    return tuple(tuple(sorted(x.items())) for x in expansion.scalar_coefficients())
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +308,13 @@ class Report(NamedTuple):
         return [row for row in self.rows if not row.ok]
 
 
-def verify_idempotence(P: pk.Polytope, panel, degree: int | None = None) -> Report:
+def verify_idempotence(P: pk.Polytope, panel) -> Report:
     """Re-extracting a component leaves slot i==j fixed and kills the rest.
 
     Checked at panel level: extraction slot i of e_j[P] must be panel-equal
     to e_j[P] when i == j and to the zero sum otherwise.
     """
-    d = pk.dim(P) if degree is None else degree
+    d = pk.dim(P)
     comps = mcmullen_components(P, d)
     rows = []
     for j, ej in enumerate(comps):
@@ -343,11 +337,10 @@ def verify_homogeneity(P: pk.Polytope, factor, panel) -> Report:
     dilated = mcmullen_components(pk.dilate(P, lam), d)
     rows = []
     for i in range(d + 1):
-        expected_scale = lam ** i if i > 0 else Fraction(1)
         for val in panel:
             rows.append(_equality_row(f"degree {i} under {val.key()}",
                                       evaluate_sum(val, dilated[i]),
-                                      expected_scale * evaluate_sum(val, base[i])))
+                                      lam ** i * evaluate_sum(val, base[i])))
     return Report(f"homogeneity at {lam}", tuple(rows))
 
 
@@ -360,11 +353,8 @@ def simplex_identity_as_classes(basis: pk.SimplexBasis, a, b, panel) -> Report:
     pieces = pk.decomposition_pieces(basis, a, b)
     av, bv = pieces.a, pieces.b
     lhs = class_of(pk.dilate(pk.simplex_from_basis(basis), av + bv))
-    rhs = FormalSum.zero()
-    for cell in pieces.cells:
-        rhs = rhs + class_of(cell)
-    for seam in pieces.seams:
-        rhs = rhs - class_of(seam)
+    rhs = _collect([(class_rep(cell), 1) for cell in pieces.cells]
+                   + [(class_rep(seam), -1) for seam in pieces.seams])
     rows = tuple(_equality_row(val.key(), evaluate_sum(val, lhs), evaluate_sum(val, rhs))
                  for val in panel)
     return Report(f"simplex class identity (a={av}, b={bv})", rows)

@@ -259,10 +259,12 @@ def _cmd_verify(args) -> tuple[int, dict]:
 def _cmd_ehrhart(args) -> tuple[int, dict]:
     P, notices = parse_polytope_with_notices(_one_input(args))
     top = args.lam if args.lam is not None else 6
+    # both guards refuse before any count
+    pk.guard_dilate_scan(P, top)
+    expansion = vv.ehrhart_expansion(P, degree=args.degree)
     counts = {
         str(lam): pk.lattice_count(pk.dilate(P, lam)) for lam in range(top + 1)
     }
-    expansion = vv.ehrhart_expansion(P, degree=args.degree)
     coeffs = expansion.scalar_coefficients()
     report = {
         "command": "ehrhart",

@@ -307,14 +307,14 @@ def origin_polytope(n: int) -> Polytope:
     return _interned(n, [(0,) * n], 1)
 
 
-def _homothet(P: Polytope, t: Fraction, s) -> Polytope:
-    """t * P + s for t > 0, on the integer form.
+def _homothet(P: Polytope, t: Fraction, shift) -> Polytope:
+    """t * P + s for t > 0 and ``shift`` = ([sv], ds), s = sv / ds, on integers.
 
     The map keeps the vertex order, so the result has P's span, facet
     normals and cycles; it holds P's root by weak reference to share them.
     """
     ints, scale = P._ints
-    (sv,), ds = geom.integerize([s])
+    (sv,), ds = shift
     a, b = t.numerator * ds, t.denominator * scale
     H = _from_ints(P.ambient_dim, [tuple(a * c + b * w for c, w in zip(p, sv)) for p in ints],
                    b * ds)
@@ -331,14 +331,14 @@ def dilate(P: Polytope, factor) -> Polytope:
         return origin_polytope(P.ambient_dim)
     if lam == 1:
         return P
-    return _homothet(P, lam, (0,) * P.ambient_dim)
+    return _homothet(P, lam, ([(0,) * P.ambient_dim], 1))
 
 
 def translate(P: Polytope, t) -> Polytope:
     tv = point(t)
     if len(tv) != P.ambient_dim:
         raise DimensionMismatch("translation vector has wrong length")
-    return _homothet(P, Fraction(1), tv)
+    return _homothet(P, Fraction(1), geom.integerize([tv]))
 
 
 def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
@@ -351,9 +351,9 @@ def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
     if P.ambient_dim != Q.ambient_dim:
         raise DimensionMismatch("Minkowski sum of different ambient dimensions")
     # a point summand translates the other body, which keeps its root
-    if len(P.vertices) == 1 or len(Q.vertices) == 1:
-        body, shift = (Q, P) if len(P.vertices) == 1 else (P, Q)
-        return _homothet(body, Fraction(1), shift.vertices[0])
+    if len(P._ints[0]) == 1 or len(Q._ints[0]) == 1:
+        body, shift = (Q, P) if len(P._ints[0]) == 1 else (P, Q)
+        return _homothet(body, Fraction(1), shift._ints)
     # both integer forms over the common scale lcm(ps, qs) = a * ps = b * qs
     (pi, ps), (qi, qs) = P._ints, Q._ints
     a, b = lcm(ps, qs) // ps, lcm(ps, qs) // qs
@@ -734,11 +734,9 @@ def lattice_count(P: Polytope) -> int:
     if n > 3:
         raise UnsupportedDimension("lattice counting beyond dimension 3")
     ints, scale = P._ints
-    lo = [-(-min(p[i] for p in ints) // scale) for i in range(n)]
-    hi = [max(p[i] for p in ints) // scale for i in range(n)]
-    total = 1
-    for l, h in zip(lo, hi):
-        total *= max(h - l + 1, 0)
+    lo = [-(-min(c) // scale) for c in zip(*ints)]
+    hi = [max(c) // scale for c in zip(*ints)]
+    total = prod(max(h - l + 1, 0) for l, h in zip(lo, hi))
     if total > LATTICE_GUARD:
         raise GuardExceeded(f"bounding box holds {total} > {LATTICE_GUARD} candidates")
     if total == 0:
@@ -765,6 +763,24 @@ def lattice_count(P: Polytope) -> int:
             if zhi >= zlo:
                 count += zhi - zlo + 1
     return count
+
+
+def guard_dilate_scan(P: Polytope, top: int) -> None:
+    """Raise GuardExceeded, before any count, when one dilate kP, k = 0..top,
+    has more than LATTICE_GUARD box points, or when the dilates plus the
+    candidates `lattice_count` scans in them do (the lines along the last
+    axis of a full-dimensional box, else its points). The sum stops there."""
+    ints, scale = P._ints
+    extents = [(min(c), max(c)) for c in zip(*ints)]
+    sweep = 0 < dim(P) == P.ambient_dim
+    total = top + 1
+    for k in range(top + 1):
+        # the box of kP spans ceil(k * lo / scale) .. floor(k * hi / scale)
+        sides = [max(k * hi // scale + (-k * lo) // scale + 1, 0) for lo, hi in extents]
+        box = prod(sides)
+        total += box // sides[-1] if sweep and box else box
+        if box > LATTICE_GUARD or total > LATTICE_GUARD:
+            raise GuardExceeded(f"dilates 0..{top} scan over {LATTICE_GUARD} candidates")
 
 
 # ---------------------------------------------------------------------------

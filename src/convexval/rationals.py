@@ -8,8 +8,6 @@ integer string).
 
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def rat(value: int | str | Fraction) -> Fraction:
     """Coerce an int, Fraction, or "p/q" / "p" string to an exact Fraction."""

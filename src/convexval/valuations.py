@@ -48,10 +48,6 @@ class ValuationDescriptor(NamedTuple):
     def translation_invariant(self) -> bool:
         return self.kind in (VOLUME, EULER, PROBE_VOLUME)
 
-    @property
-    def dilation_domain(self) -> str:
-        return "naturals" if self.kind == LATTICE else "nonnegative_rationals"
-
     def key(self) -> str:
         if self.kind == VOLUME:
             return "volume"
@@ -170,10 +166,15 @@ def ehrhart_expansion(P: pk.Polytope, degree: int | None = None) -> PolynomialEx
 
     Exact for lattice polytopes. For non-integral vertices the counting
     function is a quasi-polynomial, and ReconstructionFailure is raised
-    unless it is a polynomial.
+    unless it is a polynomial; `polytope.guard_dilate_scan` refuses first.
     """
     if degree is None:
         degree = pk.dim(P)
+    # D, the vertices' common denominator, is the integer form's scale; the
+    # extraction counts dilates 0..degree and 0..3, the check 0..top - 1
+    D = P._ints[1]
+    top = D * (max(degree, pk.dim(P)) + 1)
+    pk.guard_dilate_scan(P, max(top - 1, 3))
 
     @lru_cache(maxsize=None)
     def count(k):
@@ -186,9 +187,8 @@ def ehrhart_expansion(P: pk.Polytope, degree: int | None = None) -> PolynomialEx
     # max(degree, dim P) + 1 dilates of its residue class mod D, all of which
     # lie below D * (max(degree, dim P) + 1). For a lattice polytope (D = 1)
     # extraction has already counted all of them.
-    D = lcm(*(c.denominator for v in P.vertices for c in v))
     coeffs = expansion.scalar_coefficients()
-    for k in range(D * (max(degree, pk.dim(P)) + 1)):
+    for k in range(top):
         if count(k) != sum(c * k**i for i, c in enumerate(coeffs)):
             raise ReconstructionFailure(
                 f"lattice count of the {k}-dilate leaves the extracted "

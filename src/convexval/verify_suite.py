@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial
+from math import comb, factorial
 
 from . import _linalg
 from . import bodygroup as bg
@@ -144,12 +144,9 @@ def difference_laws(seed: int) -> SuiteResult:
         reference = iterated_delta(f, us, base)
         shuffled = list(us)
         rng.shuffle(shuffled)
-        ok = iterated_delta(f, shuffled, base) == reference
-        if p <= 3:
-            ok = ok and all(
-                iterated_delta(f, list(perm), base) == reference
-                for perm in permutations(us)
-            )
+        ok = iterated_delta(f, shuffled, base) == reference and all(
+            iterated_delta(f, list(perm), base) == reference for perm in permutations(us)
+        )
         result.count(ok, f"order invariance broke for us={point_str(us)}")
 
     for _ in range(LAW_CASES):
@@ -341,10 +338,7 @@ def ehrhart_counts(seed: int) -> SuiteResult:
         )
         expansion = extract_components(fn, d)
         extracted = expansion.scalar_coefficients()
-        binomials = [
-            Fraction(factorial(d) // (factorial(k) * factorial(d - k)))
-            for k in range(d + 1)
-        ]
+        binomials = [Fraction(comb(d, k)) for k in range(d + 1)]
         result.count(
             list(fitted) == extracted == binomials,
             f"coefficients d={d}: fitted {point_str(fitted)}, extracted {point_str(extracted)}",

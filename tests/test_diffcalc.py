@@ -22,7 +22,7 @@ from convexval.diffcalc import (
     verify_diagonal_collapse,
     verify_vanishing,
 )
-from convexval.errors import DivisionUnsupported, ReconstructionFailure
+from convexval.errors import DivisionUnsupported, GuardExceeded, ReconstructionFailure
 from convexval.verify_suite import _fit_polynomial, random_polytope
 
 
@@ -368,3 +368,19 @@ def test_memoized_extraction_matches_unmemoized_reference(domain, codomain, monk
             assert _outcome(f, n) == memoized
         raised += memoized is ReconstructionFailure
     assert raised >= 5
+
+
+def test_extraction_at_the_degree_guard():
+    n = diffcalc.EXTRACTION_GUARD
+    expansion = extract_components(FunctionHandle(lambda a: a ** n + 1), n, probes=[])
+    assert expansion.scalar_coefficients() == [1] + [0] * (n - 1) + [1]
+
+
+@pytest.mark.parametrize("above", [1, 18])
+def test_extraction_above_the_degree_guard_reads_nothing(above):
+    n = diffcalc.EXTRACTION_GUARD + above
+    reads = []
+    f = FunctionHandle(lambda a: reads.append(a) or a)
+    with pytest.raises(GuardExceeded, match=f"extraction degree {n} > "):
+        extract_components(f, n)
+    assert reads == []

@@ -519,6 +519,63 @@ def test_lattice_count_guard():
         pk.lattice_count(pk.dilate(pk.unit_cube(3), 1000))
 
 
+def test_dilate_scan_guard_at_and_above_the_guard(monkeypatch):
+    monkeypatch.setattr(pk, "LATTICE_GUARD", 20)
+    # a full-dimensional segment sweeps one line per dilate: 2 (top + 1) in all
+    seg = pk.hull([(0,), (2,)])
+    pk.guard_dilate_scan(seg, 9)
+    with pytest.raises(GuardExceeded, match="dilates 0..10 scan over 20 "):
+        pk.guard_dilate_scan(seg, 10)
+    # a segment in R^2 scans its box points: (top + 1) + 1 + 2 + ... + (top + 1)
+    flat = pk.hull([(0, 0), (1, 0)])
+    pk.guard_dilate_scan(flat, 4)
+    with pytest.raises(GuardExceeded):
+        pk.guard_dilate_scan(flat, 5)
+    # the square sweeps 5 + (1 + 2 + 3 + 4 + 5) = 20 lines up to its 4-dilate,
+    # but that dilate's box holds 25 points, which lattice_count refuses
+    square = pk.unit_cube(2)
+    pk.guard_dilate_scan(square, 3)
+    with pytest.raises(GuardExceeded):
+        pk.guard_dilate_scan(square, 4)
+    with pytest.raises(GuardExceeded):
+        pk.lattice_count(pk.dilate(square, 4))
+    # the sum stops at the guard
+    with pytest.raises(GuardExceeded):
+        pk.guard_dilate_scan(seg, 10 ** 18)
+    # R^0 has no axis to sweep: its one box point per dilate is scanned
+    pk.guard_dilate_scan(pk.origin_polytope(0), 9)
+    with pytest.raises(GuardExceeded):
+        pk.guard_dilate_scan(pk.origin_polytope(0), 10)
+
+
+def test_dilate_scan_guard_matches_the_boxes_of_the_dilates(monkeypatch):
+    # oracle: the boxes of the dilates' Fraction vertices, summed in full
+    rng = random.Random(4111)
+    refused = 0
+    for k in range(300):
+        n = 1 + k % 3
+        P = _oracle_body(rng, n)
+        top = rng.randint(0, 6)
+        guard = rng.randint(1, 300)
+        total, widest = top + 1, 0
+        for j in range(top + 1):
+            D = pk.dilate(P, j)
+            sides = [max(math.floor(max(v[i] for v in D.vertices))
+                         - math.ceil(min(v[i] for v in D.vertices)) + 1, 0) for i in range(n)]
+            box = math.prod(sides)
+            widest = max(widest, box)
+            total += box // sides[-1] if pk.dim(P) == n and box else box
+        monkeypatch.setattr(pk, "LATTICE_GUARD", guard)
+        try:
+            pk.guard_dilate_scan(P, top)
+        except GuardExceeded:
+            refused += 1
+            assert total > guard or widest > guard, (P, top, guard)
+        else:
+            assert total <= guard and widest <= guard, (P, top, guard)
+    assert 50 <= refused <= 250
+
+
 def test_lattice_count_matches_picks_theorem():
     # independent oracle for lattice polygons: count = area + boundary/2 + 1
     import math

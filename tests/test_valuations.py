@@ -8,7 +8,12 @@ import pytest
 from convexval import bodygroup as bg
 from convexval import polytope as pk
 from convexval import valuations as vv
-from convexval.errors import NonInvariantOnClasses, ReconstructionFailure, WrongDimension
+from convexval.errors import (
+    GuardExceeded,
+    NonInvariantOnClasses,
+    ReconstructionFailure,
+    WrongDimension,
+)
 
 
 SQUARE = pk.unit_cube(2)
@@ -46,7 +51,7 @@ def test_translation_invariance_of_flagged_valuations():
 
 
 def test_evaluate_sum_linearity():
-    s = bg.combine(bg.class_of(SQUARE), bg.class_of(SQUARE), 2, -1)
+    s = 2 * bg.class_of(SQUARE) + -1 * bg.class_of(SQUARE)
     assert vv.evaluate_sum(vv.volume_valuation(), s) == 1
     # -[X] + 4[(1/2)X] - 3[p] has Euler value -1 + 4 - 3 = 0
     s2 = (
@@ -253,5 +258,23 @@ def test_descriptor_keys():
     assert vv.probe_volume(pk.unit_cube(2), "unit_cube").key() == "probe_vol:unit_cube"
     assert vv.support_valuation((1, 0)).key() == "support:1,0"
     assert vv.lattice_valuation().key() == "lattice"
-    assert vv.lattice_valuation().dilation_domain == "naturals"
-    assert vv.volume_valuation().dilation_domain == "nonnegative_rationals"
+
+
+def test_ehrhart_expansion_refuses_a_scan_past_the_guard_before_counting(monkeypatch):
+    counted = []
+    monkeypatch.setattr(pk, "lattice_count", lambda P: counted.append(P) or 0)
+    # D = 10^6: the check would count the dilates 0..2 * 10^6 - 1
+    with pytest.raises(GuardExceeded, match="dilates 0..1999999 scan"):
+        vv.ehrhart_expansion(pk.hull([(0,), (F(1, 10 ** 6),)]))
+    with pytest.raises(GuardExceeded, match="extraction degree"):
+        vv.ehrhart_expansion(pk.unit_cube(1), degree=30)
+    assert counted == []
+
+
+def test_ehrhart_expansion_at_the_scan_guard(monkeypatch):
+    # the unit segment's expansion counts the dilates 0..3: 4 dilates and 4 lines
+    monkeypatch.setattr(pk, "LATTICE_GUARD", 8)
+    assert vv.ehrhart_expansion(pk.unit_cube(1)).scalar_coefficients() == [1, 1]
+    monkeypatch.setattr(pk, "LATTICE_GUARD", 7)
+    with pytest.raises(GuardExceeded):
+        vv.ehrhart_expansion(pk.unit_cube(1))
